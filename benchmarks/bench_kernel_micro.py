@@ -1,7 +1,7 @@
 """Micro-benchmarks for simulation-kernel primitives.
 
 Each function exercises one hot primitive of the simulator in isolation
-— process/Delay churn, zero-delay wake-ups, MPB watchpoint pulsing, XY
+— process/delay churn, zero-delay wake-ups, MPB watchpoint pulsing, XY
 router accounting — at a fixed, deterministic operation count, and
 returns a fingerprint dict (simulated time, event/op counts) that must
 be bit-identical run-to-run and across kernel refactors.
@@ -21,54 +21,24 @@ from __future__ import annotations
 from repro.scc.mesh import XYRouter
 from repro.scc.mpb import MpbAddr, MPBMemory
 from repro.scc.params import SCCParams
-from repro.sim.engine import Delay, Simulator
+from repro.sim.engine import Simulator
 
 __all__ = [
-    "KernelUnsupported",
     "chunk_send_churn",
     "flag_wait_churn",
     "router_account",
-    "spawn_delay_churn",
     "watchpoint_pulse",
     "yield_float_churn",
     "zero_delay_churn",
 ]
 
 
-class KernelUnsupported(RuntimeError):
-    """The running kernel lacks the primitive this micro-bench measures."""
-
-
-def spawn_delay_churn(nprocs: int = 200, nyields: int = 200) -> dict:
-    """Spawn ``nprocs`` processes that each yield ``nyields`` Delay objects.
-
-    Measures the classic per-event cost: Delay construction, heap push /
-    pop, generator resume.
-    """
-    sim = Simulator()
-
-    def prog():
-        for _ in range(nyields):
-            yield Delay(1.0)
-
-    for _ in range(nprocs):
-        sim.spawn(prog())
-    sim.run()
-    return {
-        "ops": nprocs * nyields,
-        "sim_now_ns": sim.now,
-        "events": sim.events_processed,
-    }
-
-
 def yield_float_churn(nprocs: int = 200, nyields: int = 200) -> dict:
-    """Same churn as :func:`spawn_delay_churn`, but yielding bare floats.
+    """Spawn ``nprocs`` processes that each yield ``nyields`` bare floats.
 
-    Measures the allocation-free delay fast path; raises
-    :class:`KernelUnsupported` on kernels without float-yield support.
+    Measures the classic per-event cost: heap push / pop and generator
+    resume on the allocation-free delay path.
     """
-    from repro.sim.errors import InvalidYield
-
     sim = Simulator()
 
     def prog():
@@ -77,10 +47,7 @@ def yield_float_churn(nprocs: int = 200, nyields: int = 200) -> dict:
 
     for _ in range(nprocs):
         sim.spawn(prog())
-    try:
-        sim.run()
-    except InvalidYield as exc:
-        raise KernelUnsupported("kernel rejects bare float yields") from exc
+    sim.run()
     return {
         "ops": nprocs * nyields,
         "sim_now_ns": sim.now,
@@ -94,7 +61,7 @@ def zero_delay_churn(nprocs: int = 100, nyields: int = 500) -> dict:
 
     def prog():
         for _ in range(nyields):
-            yield Delay(0.0)
+            yield 0.0
 
     for _ in range(nprocs):
         sim.spawn(prog())
@@ -189,8 +156,8 @@ def flag_wait_churn(nrounds: int = 400) -> dict:
             yield from env.set_flag(pong, seq)
 
     sim = session.sim
-    sim.spawn(rank0(session.comm_for(0)), name="rank0", shard=0)
-    sim.spawn(rank1(session.comm_for(1)), name="rank1", shard=0)
+    sim.spawn(rank0(session.comm_for(0)), name="rank0")
+    sim.spawn(rank1(session.comm_for(1)), name="rank1")
     sim.run()
     return {
         "ops": 2 * nrounds,
@@ -225,8 +192,8 @@ def chunk_send_churn(nmsgs: int = 48, nbytes: int = 4096) -> dict:
             checksums.append(int(data[::97].sum()))
 
     sim = session.sim
-    sim.spawn(sender(session.comm_for(0)), name="rank0", shard=0)
-    sim.spawn(receiver(session.comm_for(1)), name="rank1", shard=0)
+    sim.spawn(sender(session.comm_for(0)), name="rank0")
+    sim.spawn(receiver(session.comm_for(1)), name="rank1")
     sim.run()
     return {
         "ops": nmsgs,
@@ -241,7 +208,6 @@ def _main() -> None:
     import time
 
     for fn in (
-        spawn_delay_churn,
         yield_float_churn,
         zero_delay_churn,
         watchpoint_pulse,
@@ -249,13 +215,9 @@ def _main() -> None:
         flag_wait_churn,
         chunk_send_churn,
     ):
-        try:
-            t0 = time.perf_counter()
-            result = fn()
-            wall = time.perf_counter() - t0
-        except KernelUnsupported as exc:
-            print(f"{fn.__name__:24s} skipped ({exc})")
-            continue
+        t0 = time.perf_counter()
+        result = fn()
+        wall = time.perf_counter() - t0
         per_op = wall / result["ops"] * 1e9
         print(f"{fn.__name__:24s} {wall:8.3f} s  {per_op:9.1f} ns/op")
 

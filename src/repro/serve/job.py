@@ -2,7 +2,7 @@
 
 A *job* is one simulation run requested by a tenant: a
 :class:`repro.vscc.VSCCSystem` configuration (device count, scheme,
-kernel backend, delay-fusion flag, optional fault plan) plus a named
+delay-fusion flag, optional fault plan) plus a named
 *workload* with parameters. Specs are pure data — picklable across the
 worker-pool process boundary and JSON-round-trippable for clients — so
 the worker that executes a job rebuilds the whole system from scratch,
@@ -23,6 +23,8 @@ import threading
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from typing import Any, Callable, Mapping, Optional
+
+from repro.sim.kernel import check_kernel_spec
 
 __all__ = [
     "JOB_EVENT_SCHEMA",
@@ -304,10 +306,11 @@ class JobSpec:
     #: ``CommScheme`` member name or value (``"LOCAL_PUT_LOCAL_GET_VDMA"``
     #: / ``"vdma"``); ``None`` keeps the system default.
     scheme: Optional[str] = None
-    #: Kernel backend spec (``"serial"``, ``"sharded:2"``, …); ``None``
-    #: defers to ``REPRO_KERNEL`` exactly like a direct ``run()``.
+    #: Kernel: ``None`` or ``"serial"``, the only kernel there is. Kept
+    #: so specs that pinned ``"serial"`` still load.
     kernel: Optional[str] = None
-    #: Delay-fusion override; ``None`` defers to ``REPRO_FUSE``.
+    #: Delay-fusion override (a real ``bool``); ``None`` defers to
+    #: ``REPRO_FUSE``.
     fuse: Optional[bool] = None
     seed: Optional[int] = None
     #: Optional chaos plan installed into the job's own system.
@@ -344,6 +347,10 @@ class JobSpec:
                 f"progress_every_events must be >= 1, got "
                 f"{self.progress_every_events}"
             )
+        check_kernel_spec(self.kernel)
+        # A JSON string such as "false" would run fused under bool().
+        if self.fuse is not None and not isinstance(self.fuse, bool):
+            raise ValueError(f"fuse must be None, True or False, got {self.fuse!r}")
         self.resolved_scheme()  # raises on unknown scheme names
 
     def resolved_scheme(self):

@@ -2,21 +2,14 @@
 
 Public surface::
 
-    from repro.sim import Simulator, Delay, Event, Link, SimQueue, Clock
-    from repro.sim import SerialKernel, ShardedKernel, kernel_from_spec
+    from repro.sim import Simulator, Event, Link, SimQueue, Clock
 """
 
 from .clock import Clock
-from .engine import Delay, Event, Process, Simulator, wait_all
+from .engine import Event, Process, Simulator, wait_all
 from .engine import Signal
 from .errors import DeadlockError, InvalidYield, ProcessFailed, SimulationError
-from .kernel import (
-    KERNEL_ENV_VAR,
-    Kernel,
-    SerialKernel,
-    ShardedKernel,
-    kernel_from_spec,
-)
+from .kernel import SerialKernel
 from .queue import SimQueue
 from .resources import Link, Mutex
 from .trace import TraceRecord, Tracer
@@ -24,23 +17,18 @@ from .trace import TraceRecord, Tracer
 __all__ = [
     "Clock",
     "DeadlockError",
-    "Delay",
     "Event",
     "InvalidYield",
-    "KERNEL_ENV_VAR",
-    "Kernel",
     "Link",
     "Mutex",
     "Process",
     "ProcessFailed",
     "SerialKernel",
-    "ShardedKernel",
     "Signal",
     "SimQueue",
     "SimulationError",
     "Simulator",
     "TraceRecord",
     "Tracer",
-    "kernel_from_spec",
     "wait_all",
 ]

@@ -21,7 +21,6 @@ Python generator that yields timing commands:
   trigger instant — the flag-wait idiom ``yield (watch, poll_ns)``. The
   head's value is discarded (the resume delivers ``None``), so only
   value-free waits qualify.
-* ``Delay(ns)``        — the same, as an explicit command object.
 * an :class:`Event`    — resume when the event is triggered; ``yield`` returns
   the event's value.
 * a :class:`Process`   — resume when that process terminates; ``yield``
@@ -29,40 +28,27 @@ Python generator that yields timing commands:
   process failed, the exception is re-raised in the waiter.
 
 Time is a float in **nanoseconds**; frequency-domain helpers live in
-:mod:`repro.sim.clock`. *Where* pending wake-ups live and how they are
-dispatched is delegated to a pluggable :class:`repro.sim.kernel.Kernel`
-backend (``Simulator(kernel=...)``; see DESIGN.md §7 and §11):
+:mod:`repro.sim.clock`. Pending wake-ups live in the simulator's
+:class:`repro.sim.kernel.SerialKernel` (DESIGN.md §7 and §11), which
+merge-pops a binary heap of delayed wake-ups with a FIFO *fast lane* of
+zero-delay wake-ups in global ``(time, seq)`` order. Yield dispatch is
+type-keyed (one dict lookup on ``type(command)``) instead of an
+isinstance chain.
 
-* :class:`~repro.sim.kernel.SerialKernel` (the default) merge-pops a
-  binary heap of delayed wake-ups with a FIFO *fast lane* of zero-delay
-  wake-ups, preserving global ``(time, seq)`` order;
-* :class:`~repro.sim.kernel.ShardedKernel` partitions the queues into
-  one lane per SCC device and dispatches in conservative windows, with
-  the identical global order guaranteed by its horizon protocol;
-* yield dispatch is type-keyed (one dict lookup on ``type(command)``)
-  instead of an isinstance chain.
-
-There is no global locking — dispatch is single-threaded and
-deterministic (ties are broken by spawn/schedule order), which is what
-keeps every backend's simulated fingerprints bit-identical.
+Dispatch is single-threaded and deterministic (ties are broken by
+spawn/schedule order), which is what keeps every simulated fingerprint
+bit-identical from run to run.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterable, Optional, Union
+from typing import Any, Callable, Generator, Iterable, Optional
 
 from .errors import DeadlockError, InvalidYield, ProcessFailed, SimulationError
-from .kernel import (
-    DRAINED,
-    PAST_UNTIL,
-    Kernel,
-    kernel_from_spec,
-)
+from .kernel import DRAINED, PAST_UNTIL, SerialKernel
 
 __all__ = [
-    "Delay",
     "Event",
     "FUSE_ENV_VAR",
     "Process",
@@ -83,22 +69,6 @@ def _fuse_default() -> bool:
         "false",
         "off",
     )
-
-
-@dataclass(frozen=True)
-class Delay:
-    """Yield command: advance this process by ``ns`` nanoseconds.
-
-    Hot paths can yield the bare number instead — the kernel treats a
-    ``float``/``int`` yield exactly like ``Delay(value)`` without
-    constructing this object.
-    """
-
-    ns: float
-
-    def __post_init__(self) -> None:
-        if self.ns < 0:
-            raise ValueError(f"negative delay: {self.ns}")
 
 
 class Event:
@@ -217,7 +187,6 @@ class Signal:
 # the isinstance chain of the previous kernel. Subclasses of the command
 # types resolve through the isinstance fallback once, then hit the dict.
 _KIND_NUMBER = 0
-_KIND_DELAY = 1
 _KIND_EVENT = 2
 _KIND_SIGNAL = 3
 _KIND_PROCESS = 4
@@ -228,9 +197,7 @@ _YIELD_KINDS: dict[type, int] = {tuple: _KIND_CHAIN}
 
 def _resolve_yield_kind(command: Any) -> int:
     """Slow path: classify (and cache) a yield command's type."""
-    if isinstance(command, Delay):
-        kind = _KIND_DELAY
-    elif isinstance(command, (float, int)):
+    if isinstance(command, (float, int)):
         kind = _KIND_NUMBER
     elif isinstance(command, Event):
         kind = _KIND_EVENT
@@ -255,7 +222,7 @@ class Process:
     """
 
     __slots__ = (
-        "sim", "name", "gen", "done", "_failure", "_waiting_on", "_lane", "_source",
+        "sim", "name", "gen", "done", "_failure", "_waiting_on", "_source",
     )
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str):
@@ -265,8 +232,6 @@ class Process:
         self.done = Event(sim, name=f"{name}.done")
         self._failure: Optional[BaseException] = None
         self._waiting_on: Any = None
-        #: Kernel scheduling lane (shard affinity); 0 under SerialKernel.
-        self._lane = 0
         #: Event-source index (kernel.events{source=...} attribution),
         #: assigned at spawn from the normalized process name.
         self._source = 0
@@ -336,8 +301,6 @@ class Process:
                     f"process {self.name!r} yielded a negative delay {command!r}"
                 )
             sim._schedule(command, self, None)
-        elif kind == _KIND_DELAY:
-            sim._schedule(command.ns, self, None)
         elif kind == _KIND_EVENT or kind == _KIND_SIGNAL:
             self._waiting_on = command
             if not command._add_waiter(self):
@@ -503,13 +466,12 @@ class _CallbackTimer:
     cancellable :meth:`Simulator.after` keeps the full process path.
     """
 
-    __slots__ = ("fn", "_lane", "_source")
+    __slots__ = ("fn", "_source")
 
     done = _LIVE
 
-    def __init__(self, fn: Callable[[], None], lane: int, source: int):
+    def __init__(self, fn: Callable[[], None], source: int):
         self.fn = fn
-        self._lane = lane
         self._source = source
 
     def _step(self, payload: Any) -> None:
@@ -563,12 +525,6 @@ class Simulator:
         :meth:`run` immediately with :class:`ProcessFailed`. When False,
         failures are collected in :attr:`failures` and only waiters on the
         failed process see the exception.
-    kernel:
-        Event-queue backend: a :class:`repro.sim.kernel.Kernel` instance,
-        a spec string (``"serial"``, ``"sharded"``, ``"sharded:N"``) or
-        ``None`` for the serial default. Every backend dispatches in the
-        same global ``(time, seq)`` order, so simulated results are
-        backend-independent bit for bit.
     fuse_delays:
         When True (the default), fused delay chains (tuple yields) and
         timer arming collapse into single kernel wake-ups; when False
@@ -578,16 +534,11 @@ class Simulator:
         times are bit-identical either way — only event counts differ.
     """
 
-    def __init__(
-        self,
-        fail_fast: bool = True,
-        kernel: Union[Kernel, str, None] = None,
-        fuse_delays: Optional[bool] = None,
-    ):
+    def __init__(self, fail_fast: bool = True, fuse_delays: Optional[bool] = None):
         self.now: float = 0.0
         self.fail_fast = fail_fast
-        self.kernel = kernel_from_spec(kernel)
-        self.kernel.attach(self)
+        #: The event queue (heap + zero-delay fast lane).
+        self.kernel = SerialKernel(self)
         #: Hot-path alias: Event.trigger / Signal.pulse / Process._step
         #: call ``sim._schedule`` directly, which resolves to the bound
         #: kernel method with no extra indirection.
@@ -609,24 +560,19 @@ class Simulator:
         self,
         gen: Generator,
         name: Optional[str] = None,
-        shard: Optional[int] = None,
+        _unused: object = None,
     ) -> Process:
         """Register a generator as a process, starting at the current time.
 
-        ``shard`` hints the kernel scheduling lane (a device id under the
-        sharded backend). Without a hint the process inherits the lane of
-        the process that spawned it — timers and helper coroutines stay
-        in their owner's shard — and top-level spawns land in lane 0.
+        The ignored fourth parameter exists only because the benchmark's
+        tracer (``perfbench/spans.py``) forwards ``spawn(sim, gen, name,
+        shard)`` positionally; nothing else passes it.
         """
         if not hasattr(gen, "send"):
             raise TypeError(f"spawn() needs a generator, got {type(gen).__name__}")
         self._spawned += 1
         proc = Process(self, gen, name or f"proc-{self._spawned}")
-        kernel = self.kernel
-        proc._lane = (
-            kernel.current_lane if shard is None else kernel.lane_for(shard)
-        )
-        proc._source = kernel.source_of(proc.name)
+        proc._source = self.kernel.source_of(proc.name)
         self._live_processes.add(proc)
         self._schedule(0.0, proc, None)
         return proc
@@ -641,9 +587,7 @@ class Simulator:
         """
         self._spawned += 1
         proc = Process(self, gen, name)
-        kernel = self.kernel
-        proc._lane = kernel.current_lane
-        proc._source = kernel.source_of(name)
+        proc._source = self.kernel.source_of(name)
         self._live_processes.add(proc)
         self._schedule(delay_ns, proc, None)
         return proc
@@ -661,8 +605,8 @@ class Simulator:
     def metrics_snapshot(self) -> dict[str, float]:
         """Kernel-level counters for the unified observability surface.
 
-        Includes the backend's own counters (``kernel.*`` series — lane
-        loads and sync overhead under the sharded backend).
+        Includes the kernel's own ``kernel.*`` series (delay fusion and
+        event-source attribution).
         """
         snap = {
             "sim.now_ns": self.now,
@@ -684,10 +628,7 @@ class Simulator:
             # unchanged; only the bookkeeping event disappears. The entry
             # is a bare callback record, not a process (_CallbackTimer).
             self._spawned += 1
-            kernel = self.kernel
-            timer = _CallbackTimer(
-                fn, kernel.current_lane, kernel.source_of("call_at")
-            )
+            timer = _CallbackTimer(fn, self.kernel.source_of("call_at"))
             self._schedule(max(0.0, when - self.now), timer, None)
             return
 

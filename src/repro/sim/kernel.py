@@ -1,122 +1,77 @@
-"""Pluggable event-queue backends for the simulation kernel.
+"""The simulation kernel's event queue.
 
 :class:`repro.sim.engine.Simulator` owns processes, events and the run
-API; *where pending wake-ups live and how they are dispatched* is the
-kernel backend's job. Two backends ship (DESIGN.md §11):
-
-:class:`SerialKernel`
-    The classic single-queue engine: one binary heap for delayed
-    wake-ups merged with one FIFO fast lane for zero-delay wake-ups,
-    dispatched in global ``(time, seq)`` order. The proven baseline —
-    every checked-in fingerprint was produced by this loop.
-
-:class:`ShardedKernel`
-    A conservative-parallel decomposition: one *lane* (its own
-    heap + fast-lane pair, the PR 2 structure preserved per shard) per
-    SCC device plus one for the host, dispatched in *windows*. A window
-    runs the lane owning the globally-earliest wake-up until it reaches
-    another lane's head (the conservative horizon) or until it schedules
-    into a foreign lane below the horizon (a cross-shard wake, which
-    preempts the window). Because a window never dispatches an entry
-    that could be preceded by any other lane's entry, the global
-    ``(time, seq)`` dispatch order — and with it every simulated
-    fingerprint — is **bit-identical to the serial kernel by
-    construction**. Sync overhead (windows, preemptions, horizon
-    rescans) is exposed through :meth:`Kernel.metrics_snapshot`.
-
-Backends are selected with :func:`kernel_from_spec` — used by
-``Simulator(kernel=...)``, ``VSCCSystem(kernel=...)``, benchmarks and
-tests, so no caller juggles constructors::
-
-    kernel_from_spec(None)          # SerialKernel (the default)
-    kernel_from_spec("serial")      # SerialKernel
-    kernel_from_spec("sharded")     # ShardedKernel, default lane count
-    kernel_from_spec("sharded:4")   # ShardedKernel with 4 lanes
-    kernel_from_spec(kernel_obj)    # pass an instance through
-
-The system layer additionally honours the ``REPRO_KERNEL`` environment
-variable (same spec strings) when no explicit kernel is given, so a
-whole test run can be flipped to the sharded backend from the outside.
+API; :class:`SerialKernel` holds the pending wake-ups and dispatches
+them in global ``(time, seq)`` order: one binary heap for delayed
+wake-ups merged with one FIFO fast lane for zero-delay wake-ups. Every
+checked-in fingerprint was produced by this loop. Why there is no
+parallel backend is recorded in DESIGN.md §11.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from math import inf
-from typing import TYPE_CHECKING, Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import Process, Simulator
 
-__all__ = [
-    "Kernel",
-    "SerialKernel",
-    "ShardedKernel",
-    "KERNEL_ENV_VAR",
-    "kernel_from_spec",
-]
+__all__ = ["SerialKernel", "check_kernel_spec"]
 
-#: Environment variable consulted by the system layer (``VSCCSystem``,
-#: ``RcceSession``) when no explicit kernel is passed.
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-
-# Loop-exit reasons shared by every backend's dispatch loop.
+# Loop-exit reasons of the dispatch loop.
 STOPPED = 0
 DRAINED = 1
 PAST_UNTIL = 2
 MAX_EVENTS = 3
 
 
-class Kernel:
-    """Event-queue backend contract.
+def check_kernel_spec(kernel: Any) -> None:
+    """Accept the only kernel inputs left, ``None`` and ``"serial"``.
 
-    A kernel instance belongs to exactly one :class:`Simulator`; the
-    simulator calls :meth:`attach` once during its own construction and
-    then routes every wake-up through :meth:`schedule` and every
-    ``run``/``run_until`` through :meth:`loop`.
+    ``VSCCSystem(kernel=...)`` and ``JobSpec.kernel`` keep the parameter
+    so existing callers that pin ``"serial"`` still work; anything else
+    named the sharded backend, which is gone.
+    """
+    if kernel is not None and kernel != "serial":
+        raise ValueError(
+            f"unknown kernel {kernel!r}: only None or 'serial' is accepted "
+            "(the sharded kernel backend was removed in repro 1.2)"
+        )
+
+
+class SerialKernel:
+    """Single merged heap + zero-delay fast lane.
+
+    Delayed wake-ups go through a binary heap of ``(time, seq, process,
+    payload)`` entries; zero-delay wake-ups (event triggers, signal
+    pulses, spawns — roughly half of all events in flag-heavy runs) go
+    through a FIFO fast lane that skips the heap entirely. Because
+    simulated time never decreases, the fast lane is sorted by ``(time,
+    seq)`` by construction, and the dispatch loop merge-pops the two
+    queues, preserving exactly the global ``(time, seq)`` order of a
+    heap-only kernel.
+
+    One instance belongs to one :class:`Simulator`, which builds it.
     """
 
-    #: Spec name this backend answers to in :func:`kernel_from_spec`.
-    name = "abstract"
-
-    def __init__(self) -> None:
-        self.sim: Optional["Simulator"] = None
+    def __init__(self, sim: "Simulator") -> None:
+        self.sim = sim
         self._seq = 0
         #: Kernel wake-ups saved by delay fusion (chain elements folded
         #: into their chain's single wake-up, len(chain)-1 per chain).
         self.fused_yields = 0
         # Event-source attribution: process names are normalized to a
         # small label set at spawn ("rank-17" -> "rank") and interned to
-        # an index, so the dispatch loops pay one list-index increment
+        # an index, so the dispatch loop pays one list-index increment
         # per event instead of a dict lookup on a string.
         self._source_ids: dict[str, int] = {"proc": 0}
         self._source_names: list[str] = ["proc"]
         self._source_events: list[int] = [0]
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def attach(self, sim: "Simulator") -> None:
-        if self.sim is not None:
-            raise RuntimeError(
-                f"kernel {self.describe()!r} is already attached to a simulator"
-            )
-        self.sim = sim
-
-    def describe(self) -> str:
-        """The spec string that reproduces this backend."""
-        return self.name
-
-    # -- scheduling interface -------------------------------------------------
-
-    @property
-    def current_lane(self) -> int:
-        """Lane of the process being dispatched (0 outside dispatch)."""
-        return 0
-
-    def lane_for(self, shard: Optional[int]) -> int:
-        """Map a shard affinity hint (device id, or None) to a lane."""
-        return 0
+        self._queue: list[tuple[float, int, "Process", Any]] = []
+        #: Zero-delay fast lane: appended in seq order at nondecreasing
+        #: times, hence always sorted by (time, seq).
+        self._fast: deque[tuple[float, int, "Process", Any]] = deque()
 
     def source_of(self, name: str) -> int:
         """Intern a process name's event-source label, returning its index.
@@ -139,52 +94,6 @@ class Kernel:
             ids[label] = idx
         ids[name] = idx
         return idx
-
-    def schedule(self, delay: float, proc: "Process", payload: Any) -> None:
-        raise NotImplementedError
-
-    def schedule_at(self, t: float, proc: "Process", payload: Any) -> None:
-        """Schedule a wake-up at *absolute* time ``t`` (fused delay chains)."""
-        raise NotImplementedError
-
-    def loop(
-        self,
-        until: Optional[float],
-        max_events: Optional[int],
-        stop: Optional[list],
-    ) -> int:
-        raise NotImplementedError
-
-    def metrics_snapshot(self) -> dict[str, float]:
-        snap = {"kernel.fused_yields": float(self.fused_yields)}
-        names = self._source_names
-        for idx, count in enumerate(self._source_events):
-            if count:
-                snap[f"kernel.events{{source={names[idx]}}}"] = float(count)
-        return snap
-
-
-class SerialKernel(Kernel):
-    """Single merged heap + zero-delay fast lane (the historic engine).
-
-    Delayed wake-ups go through a binary heap of ``(time, seq, process,
-    payload)`` entries; zero-delay wake-ups (event triggers, signal
-    pulses, spawns — roughly half of all events in flag-heavy runs) go
-    through a FIFO fast lane that skips the heap entirely. Because
-    simulated time never decreases, the fast lane is sorted by ``(time,
-    seq)`` by construction, and the dispatch loop merge-pops the two
-    queues, preserving exactly the global ``(time, seq)`` order of a
-    heap-only kernel.
-    """
-
-    name = "serial"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._queue: list[tuple[float, int, "Process", Any]] = []
-        #: Zero-delay fast lane: appended in seq order at nondecreasing
-        #: times, hence always sorted by (time, seq).
-        self._fast: deque[tuple[float, int, "Process", Any]] = deque()
 
     def schedule(self, delay: float, proc: "Process", payload: Any) -> None:
         self._seq += 1
@@ -252,409 +161,10 @@ class SerialKernel(Kernel):
                 if events >= max_events:
                     return MAX_EVENTS
 
-
-class ShardedKernel(Kernel):
-    """Conservative window-synchronized lanes, one per SCC device.
-
-    Scheduling lanes partition *processes*, not state: a rank process
-    belongs to its device's lane for its whole life (inherited by the
-    timers and helpers it spawns), host-side daemons live in lane 0.
-    Correctness never depends on the partition — the window protocol
-    below dispatches in exact global ``(time, seq)`` order — so a bad
-    affinity hint can only shrink windows, never change results.
-
-    Window protocol (per outer iteration):
-
-    1. **Scan**: find the lane whose head entry is globally earliest
-       (stale heads — cancelled timers, finished processes — are
-       discarded on sight) and the earliest head among the *other*
-       lanes: the conservative horizon.
-    2. **Drain**: run the chosen lane's local merge loop (heap + fast
-       lane, the serial structure per lane) while its head precedes the
-       horizon. A schedule into a foreign lane below the horizon sets
-       the preempt flag and ends the window, because the foreign entry
-       may now be the globally-next one.
-
-    The horizon never moves backwards during a drain: only the running
-    lane dispatches, foreign lanes gain entries only through cross-lane
-    schedules (which preempt when they undercut the horizon), and a
-    fresh entry's ``seq`` is greater than every pending one, so at equal
-    times the horizon entry keeps priority. Hence every dispatch is the
-    global ``(time, seq)`` minimum at the moment it runs — the serial
-    order, bit for bit.
-
-    ``lookahead_ns`` documents the physical sync boundary (the PCIe/SIF
-    link latency): cross-lane wakes arriving *sooner* than the lookahead
-    come from host-internal coupling, and ``kernel.subhorizon_wakes``
-    counts them — the number to watch when estimating how much true
-    parallelism the workload would admit on a multi-core build.
-    """
-
-    name = "sharded"
-
-    #: Default lane count for a bare ``"sharded"`` spec when the caller
-    #: gave no device-count hint.
-    DEFAULT_LANES = 2
-
-    def __init__(
-        self,
-        num_shards: Optional[int] = None,
-        lookahead_ns: Optional[float] = None,
-    ) -> None:
-        super().__init__()
-        if num_shards is not None and num_shards < 1:
-            raise ValueError(f"need at least one shard, got {num_shards}")
-        self._explicit_shards = num_shards
-        n = num_shards if num_shards is not None else self.DEFAULT_LANES
-        self._heaps: list[list[tuple[float, int, "Process", Any]]] = [
-            [] for _ in range(n)
-        ]
-        self._fasts: list[deque[tuple[float, int, "Process", Any]]] = [
-            deque() for _ in range(n)
-        ]
-        #: Conservative sync boundary (PCIe/SIF latency), observability only.
-        self.lookahead_ns = lookahead_ns
-        #: Number of host lanes reserved at the front of the lane range.
-        #: The system layer sets this to its host count on a multi-host
-        #: fabric; the default (one host, lane 0) reproduces the historic
-        #: device-shard mapping exactly.
-        self.num_hosts = 1
-        self._running = -1
-        self._limit_t = -inf
-        self._preempt = False
-        # Sync-overhead counters (kernel.* series in metrics snapshots).
-        self._windows = 0
-        self._preempts = 0
-        self._subhorizon_wakes = 0
-        self._stale_discards = 0
-        self._lane_events = [0] * n
-        # Scan set: only lanes that ever received an entry are scanned
-        # (idle devices cost nothing per window). Grows monotonically.
-        self._lane_used = [False] * n
-        self._active: list[tuple[int, deque, list]] = []
-
-    # -- lanes ---------------------------------------------------------------
-
-    @property
-    def num_shards(self) -> int:
-        return len(self._heaps)
-
-    def describe(self) -> str:
-        return f"sharded:{self.num_shards}"
-
-    @property
-    def current_lane(self) -> int:
-        return self._running if self._running >= 0 else 0
-
-    def lane_for(self, shard: Optional[int]) -> int:
-        """Map a shard affinity hint to a lane.
-
-        The first ``num_hosts`` lanes are host lanes, the rest device
-        lanes. ``None`` → lane 0 (the first host). A negative hint
-        ``-(host_id + 1)`` → that host's lane. A device id ``d`` →
-        ``num_hosts + d mod (lanes - num_hosts)``. With one host this is
-        the historic ``1 + d mod (lanes - 1)`` mapping, bit for bit.
-        """
-        n = self.num_shards
-        if shard is None or n == 1:
-            return 0
-        hosts = min(self.num_hosts, n)
-        if shard < 0:
-            return (-shard - 1) % hosts
-        if n <= hosts:
-            return shard % n
-        return hosts + shard % (n - hosts)
-
-    # -- scheduling -----------------------------------------------------------
-
-    def schedule(self, delay: float, proc: "Process", payload: Any) -> None:
-        self._seq = seq = self._seq + 1
-        now = self.sim.now
-        lane = proc._lane
-        if not self._lane_used[lane]:
-            self._lane_used[lane] = True
-            self._active.append((lane, self._fasts[lane], self._heaps[lane]))
-        if delay == 0.0:
-            t = now
-            self._fasts[lane].append((t, seq, proc, payload))
-        else:
-            t = now + delay
-            heapq.heappush(self._heaps[lane], (t, seq, proc, payload))
-        if lane != self._running and t < self._limit_t:
-            # A foreign entry undercut the horizon: it may now be the
-            # globally-next event, so the running window must end.
-            self._preempt = True
-            self._preempts += 1
-            look = self.lookahead_ns
-            if look is not None and t - now < look:
-                self._subhorizon_wakes += 1
-
-    def schedule_at(self, t: float, proc: "Process", payload: Any) -> None:
-        self._seq = seq = self._seq + 1
-        lane = proc._lane
-        if not self._lane_used[lane]:
-            self._lane_used[lane] = True
-            self._active.append((lane, self._fasts[lane], self._heaps[lane]))
-        now = self.sim.now
-        if t == now:
-            self._fasts[lane].append((t, seq, proc, payload))
-        else:
-            heapq.heappush(self._heaps[lane], (t, seq, proc, payload))
-        if lane != self._running and t < self._limit_t:
-            self._preempt = True
-            self._preempts += 1
-            look = self.lookahead_ns
-            if look is not None and t - now < look:
-                self._subhorizon_wakes += 1
-
-    # -- dispatch -------------------------------------------------------------
-
-    def _scan(self) -> tuple[int, float, float, int]:
-        """Find the globally-earliest lane head and the horizon behind it.
-
-        Returns ``(best_lane, best_t, horizon_t, horizon_s)`` —
-        ``best_lane`` is -1 when every lane is drained. Stale heads
-        (cancelled timers, finished processes) are discarded on sight,
-        which the serial loop only does one full dispatch iteration at a
-        time.
-        """
-        pop = heapq.heappop
-        best_lane = -1
-        best_t = inf
-        best_s = 0
-        horizon_t = inf
-        horizon_s = 0
-        for lane, fast, heap in self._active:
-            while fast and fast[0][2].done._triggered:
-                fast.popleft()
-                self._stale_discards += 1
-            while heap and heap[0][2].done._triggered:
-                pop(heap)
-                self._stale_discards += 1
-            if fast:
-                if heap and heap[0] < fast[0]:
-                    t, s = heap[0][0], heap[0][1]
-                else:
-                    t, s = fast[0][0], fast[0][1]
-            elif heap:
-                t, s = heap[0][0], heap[0][1]
-            else:
-                continue
-            if t < best_t or (t == best_t and s < best_s):
-                if best_lane >= 0:
-                    horizon_t, horizon_s = best_t, best_s
-                best_lane, best_t, best_s = lane, t, s
-            elif t < horizon_t or (t == horizon_t and s < horizon_s):
-                horizon_t, horizon_s = t, s
-        return best_lane, best_t, horizon_t, horizon_s
-
-    def loop(
-        self,
-        until: Optional[float],
-        max_events: Optional[int],
-        stop: Optional[list],
-    ) -> int:
-        if max_events is not None or stop is not None:
-            return self._loop_careful(until, max_events, stop)
-        return self._loop_fast(until)
-
-    def _loop_fast(self, until: Optional[float]) -> int:
-        """Window dispatch for the hot ``run()`` path (no stop/max_events).
-
-        ``sim.events_processed`` is flushed at window boundaries rather
-        than per event — exact whenever the loop is not mid-dispatch,
-        which is the only time callers can observe it.
-        """
-        sim = self.sim
-        pop = heapq.heappop
-        sources = self._source_events
-        until_f = inf if until is None else until
-        try:
-            while True:
-                best_lane, best_t, horizon_t, horizon_s = self._scan()
-                if best_lane < 0:
-                    return DRAINED
-                if best_t > until_f:
-                    return PAST_UNTIL
-                # -- drain the winning lane up to the horizon
-                self._windows += 1
-                self._running = best_lane
-                self._limit_t = horizon_t
-                self._preempt = False
-                fast = self._fasts[best_lane]
-                heap = self._heaps[best_lane]
-                dispatched = 0
-                while True:
-                    if fast:
-                        if heap and heap[0] < fast[0]:
-                            entry = heap[0]
-                            from_heap = True
-                        else:
-                            entry = fast[0]
-                            from_heap = False
-                    elif heap:
-                        entry = heap[0]
-                        from_heap = True
-                    else:
-                        break  # lane drained; rescan
-                    t = entry[0]
-                    if t > horizon_t or (t == horizon_t and entry[1] > horizon_s):
-                        break  # another lane's head is globally next
-                    if t > until_f:
-                        sim.events_processed += dispatched
-                        self._lane_events[best_lane] += dispatched
-                        return PAST_UNTIL
-                    if from_heap:
-                        pop(heap)
-                    else:
-                        fast.popleft()
-                    proc = entry[2]
-                    if proc.done._triggered:
-                        continue  # stale wake-up scheduled mid-window
-                    sim.now = t
-                    proc._step(entry[3])
-                    dispatched += 1
-                    sources[proc._source] += 1
-                    if self._preempt:
-                        break
-                sim.events_processed += dispatched
-                self._lane_events[best_lane] += dispatched
-                self._running = -1
-                self._limit_t = -inf
-        finally:
-            self._running = -1
-            self._limit_t = -inf
-
-    def _loop_careful(
-        self,
-        until: Optional[float],
-        max_events: Optional[int],
-        stop: Optional[list],
-    ) -> int:
-        """Window dispatch with per-event stop/max_events bookkeeping.
-
-        Semantically identical to the serial loop: ``stop`` is observed
-        before every dispatch, ``events_processed`` is exact per event.
-        """
-        sim = self.sim
-        pop = heapq.heappop
-        sources = self._source_events
-        events = 0
-        try:
-            while True:
-                if stop is not None and stop[0]:
-                    return STOPPED
-                best_lane, best_t, horizon_t, horizon_s = self._scan()
-                if best_lane < 0:
-                    return DRAINED
-                if until is not None and best_t > until:
-                    return PAST_UNTIL
-                self._windows += 1
-                self._running = best_lane
-                self._limit_t = horizon_t
-                self._preempt = False
-                fast = self._fasts[best_lane]
-                heap = self._heaps[best_lane]
-                while True:
-                    if fast:
-                        if heap and heap[0] < fast[0]:
-                            entry = heap[0]
-                            from_heap = True
-                        else:
-                            entry = fast[0]
-                            from_heap = False
-                    elif heap:
-                        entry = heap[0]
-                        from_heap = True
-                    else:
-                        break  # lane drained; rescan
-                    t = entry[0]
-                    if t > horizon_t or (t == horizon_t and entry[1] > horizon_s):
-                        break  # another lane's head is globally next
-                    if until is not None and t > until:
-                        return PAST_UNTIL
-                    if from_heap:
-                        pop(heap)
-                    else:
-                        fast.popleft()
-                    proc = entry[2]
-                    if proc.done._triggered:
-                        continue  # stale wake-up scheduled mid-window
-                    sim.now = t
-                    proc._step(entry[3])
-                    sim.events_processed += 1
-                    sources[proc._source] += 1
-                    self._lane_events[best_lane] += 1
-                    if max_events is not None:
-                        events += 1
-                        if events >= max_events:
-                            return MAX_EVENTS
-                    if self._preempt:
-                        break
-                    if stop is not None and stop[0]:
-                        return STOPPED
-                self._running = -1
-                self._limit_t = -inf
-        finally:
-            self._running = -1
-            self._limit_t = -inf
-
-    # -- observability ---------------------------------------------------------
-
     def metrics_snapshot(self) -> dict[str, float]:
-        """Sync-overhead counters of the conservative window protocol."""
-        snap = super().metrics_snapshot()
-        snap.update({
-            "kernel.shards": float(self.num_shards),
-            "kernel.windows": float(self._windows),
-            "kernel.preempts": float(self._preempts),
-            "kernel.stale_discards": float(self._stale_discards),
-        })
-        if self.lookahead_ns is not None:
-            snap["kernel.lookahead_ns"] = self.lookahead_ns
-            snap["kernel.subhorizon_wakes"] = float(self._subhorizon_wakes)
-        for lane, count in enumerate(self._lane_events):
-            snap[f"kernel.lane_events{{lane={lane}}}"] = float(count)
+        snap = {"kernel.fused_yields": float(self.fused_yields)}
+        names = self._source_names
+        for idx, count in enumerate(self._source_events):
+            if count:
+                snap[f"kernel.events{{source={names[idx]}}}"] = float(count)
         return snap
-
-
-def kernel_from_spec(
-    spec: Union[str, Kernel, None] = None,
-    *,
-    default_shards: Optional[int] = None,
-) -> Kernel:
-    """Build a kernel backend from a spec string (the one selection path).
-
-    Accepts ``None``/``"serial"`` (the serial backend), ``"sharded"``
-    (one lane per device when the caller supplies ``default_shards``,
-    else :attr:`ShardedKernel.DEFAULT_LANES`), ``"sharded:N"`` (exactly
-    ``N`` lanes), or an already-built :class:`Kernel` instance, which
-    passes through untouched.
-    """
-    if spec is None:
-        return SerialKernel()
-    if isinstance(spec, Kernel):
-        return spec
-    if not isinstance(spec, str):
-        raise TypeError(
-            f"kernel spec must be a string or Kernel instance, got {spec!r}"
-        )
-    text = spec.strip().lower()
-    if text in ("", "serial"):
-        return SerialKernel()
-    if text == "sharded":
-        return ShardedKernel(num_shards=default_shards)
-    if text.startswith("sharded:"):
-        raw = text.split(":", 1)[1]
-        try:
-            shards = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"malformed kernel spec {spec!r}: shard count {raw!r} "
-                "is not an integer"
-            ) from None
-        return ShardedKernel(num_shards=shards)
-    raise ValueError(
-        f"unknown kernel spec {spec!r} (expected 'serial', 'sharded' "
-        "or 'sharded:N')"
-    )

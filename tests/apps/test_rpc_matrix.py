@@ -1,8 +1,8 @@
-"""Bit-identity matrix of the RPC path (kernel × fusion × fabric).
+"""Bit-identity matrix of the RPC path (kernel input × fusion × fabric).
 
 The fixed golden trace must fingerprint identically across
 
-* ``REPRO_KERNEL`` serial × sharded (same fuse mode: identical
+* ``kernel=None`` × ``kernel="serial"`` (same fuse mode: identical
   simulated end time, event count and metrics, bit for bit);
 * ``REPRO_FUSE`` 1 × 0 (fusion legitimately changes event counts,
   never the simulated clock or the semantic outcome);
@@ -17,19 +17,10 @@ import pytest
 from repro.apps.rpc import run_rpc
 from repro.bench.arrivals import golden_trace
 from repro.sim.engine import FUSE_ENV_VAR
-from repro.sim.kernel import KERNEL_ENV_VAR
 from repro.vscc.policy import ThresholdPolicy
 from repro.vscc.system import VSCCSystem
 
-MATRIX = [
-    (kernel, fuse)
-    for kernel in ("serial", "sharded", "sharded:3")
-    for fuse in ("1", "0")
-]
-
-
-def _strip_kernel_series(metrics):
-    return {k: v for k, v in metrics.items() if not k.startswith("kernel.")}
+MATRIX = [("serial", fuse) for fuse in ("1", "0")]
 
 
 def rpc_fingerprint(**system_kwargs):
@@ -43,33 +34,30 @@ def rpc_fingerprint(**system_kwargs):
         "now": system.sim.now,
         "events": system.sim.events_processed,
         "digest": report.digest,
-        "metrics": _strip_kernel_series(system.metrics),
+        "metrics": system.metrics,
     }
 
 
 @pytest.mark.parametrize("kernel,fuse", MATRIX)
 def test_kernel_cells_match_serial_bit_for_bit(monkeypatch, kernel, fuse):
-    """Within one fuse mode, every kernel backend replays identically."""
+    """Within one fuse mode, the pinned kernel replays the default one."""
     monkeypatch.setenv(FUSE_ENV_VAR, fuse)
-    monkeypatch.setenv(KERNEL_ENV_VAR, "serial")
-    serial = rpc_fingerprint()
-    monkeypatch.setenv(KERNEL_ENV_VAR, kernel)
-    other = rpc_fingerprint()
-    assert other == serial
+    default = rpc_fingerprint()
+    pinned = rpc_fingerprint(kernel=kernel)
+    assert pinned == default
 
 
 def test_fuse_modes_agree_on_time_and_outcome(monkeypatch):
     """Fusion changes event counts only — never clock or outcome."""
     cells = []
     for kernel, fuse in MATRIX:
-        monkeypatch.setenv(KERNEL_ENV_VAR, kernel)
         monkeypatch.setenv(FUSE_ENV_VAR, fuse)
-        cells.append(rpc_fingerprint())
+        cells.append(rpc_fingerprint(kernel=kernel))
     assert len({c["now"] for c in cells}) == 1
     assert len({c["digest"] for c in cells}) == 1
 
 
-@pytest.mark.parametrize("kernel", ["serial", "sharded"])
+@pytest.mark.parametrize("kernel", ["serial"])
 def test_two_host_fabric_affinity_both_ways(kernel):
     """cross_host_affinity=src|dst: identical outcome on a 2-host run."""
     prints = {}

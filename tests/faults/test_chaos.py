@@ -16,23 +16,10 @@ import pytest
 from repro.bench.figures import run_pingpong
 from repro.faults import DeviceFaults, DeviceQuarantined, FaultPlan, LinkFaults
 from repro.sim.errors import DeadlockError
-from repro.sim.kernel import KERNEL_ENV_VAR
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
 
 PINGPONG_SIZES = (256, 2048, 16384, 65536)
-
-
-@pytest.fixture(params=["serial", "sharded"], autouse=True)
-def kernel(request, monkeypatch):
-    """Run the whole chaos suite under both kernel backends.
-
-    Parametrized through the ``REPRO_KERNEL`` environment override, so
-    the resilience layer is exercised the way a CI backend flip would
-    exercise it — no test body mentions the kernel at all.
-    """
-    monkeypatch.setenv(KERNEL_ENV_VAR, request.param)
-    return request.param
 
 
 def _system(plan=None, num_devices=2):

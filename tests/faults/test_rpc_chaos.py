@@ -18,16 +18,8 @@ from repro.apps.rpc import run_rpc
 from repro.bench.arrivals import PoissonArrivals, UniformSizes, generate_calls
 from repro.faults import DeviceQuarantined, FaultPlan, LinkFaults
 from repro.sim.engine import ProcessFailed
-from repro.sim.kernel import KERNEL_ENV_VAR
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
-
-
-@pytest.fixture(params=["serial", "sharded"], autouse=True)
-def kernel(request, monkeypatch):
-    """Run the whole suite under both kernel backends via the env flag."""
-    monkeypatch.setenv(KERNEL_ENV_VAR, request.param)
-    return request.param
 
 
 def trace(ranks=(0, 1), n=24, seed=5):

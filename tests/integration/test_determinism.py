@@ -15,14 +15,9 @@ from repro.bench import fig6a_onchip
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
 
-#: Both kernel backends must replay identically — and identically to
-#: *each other* (the cross-backend tests below strip the kernel.* sync
-#: counters, which legitimately differ between backends).
-KERNELS = ["serial", "sharded"]
-
-
-def _strip_kernel_series(metrics):
-    return {k: v for k, v in metrics.items() if not k.startswith("kernel.")}
+#: Kernel inputs the replays pass to VSCCSystem: the one that remains
+#: pinned explicitly.
+KERNELS = ["serial"]
 
 
 def _run_vdma_program(kernel="serial"):
@@ -57,18 +52,6 @@ def test_vdma_program_replays_identically(kernel):
     assert first["now"] == second["now"]
     assert first["events"] == second["events"]
     assert first["metrics"] == second["metrics"]
-
-
-@pytest.mark.parametrize("kernel", ["sharded", "sharded:3"])
-def test_vdma_program_matches_serial_bit_for_bit(kernel):
-    """Cross-backend fingerprint contract (DESIGN.md §11)."""
-    serial = _run_vdma_program("serial")
-    other = _run_vdma_program(kernel)
-    assert other["now"] == serial["now"]
-    assert other["events"] == serial["events"]
-    assert _strip_kernel_series(other["metrics"]) == _strip_kernel_series(
-        serial["metrics"]
-    )
 
 
 def _run_faulty_program(kernel="serial"):
@@ -124,18 +107,6 @@ def test_faulty_program_replays_identically(kernel):
     assert first["events"] == second["events"]
     assert first["metrics"] == second["metrics"]
     assert first["degraded"] == second["degraded"]
-
-
-def test_faulty_program_matches_serial_bit_for_bit():
-    """Retry/backoff timing under faults is kernel-independent."""
-    serial = _run_faulty_program("serial")
-    sharded = _run_faulty_program("sharded")
-    assert sharded["now"] == serial["now"]
-    assert sharded["events"] == serial["events"]
-    assert sharded["degraded"] == serial["degraded"]
-    assert _strip_kernel_series(sharded["metrics"]) == _strip_kernel_series(
-        serial["metrics"]
-    )
 
 
 def test_fig6a_replays_identically():

@@ -13,7 +13,7 @@ from repro.scc.mesh import XYRouter
 from repro.scc.params import SCCParams
 from repro.scc.wcb import WriteCombineBuffer
 from repro.sim.clock import Clock
-from repro.sim.engine import Delay, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.resources import Link
 
 

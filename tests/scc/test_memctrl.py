@@ -89,4 +89,4 @@ def test_bytes_served_accounting(dev):
 
     sim.spawn(prog())
     sim.run()
-    assert dev.memctrl.bytes_served()[0] == 4096
+    assert dev.memctrl.metrics_snapshot()["memctrl.bytes{mc=0}"] == 4096

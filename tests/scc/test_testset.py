@@ -3,7 +3,7 @@
 import pytest
 
 from repro.scc.chip import SCCDevice
-from repro.sim.engine import Delay, Simulator
+from repro.sim.engine import Simulator
 
 
 def test_try_acquire_and_release():
@@ -39,7 +39,7 @@ def test_core_env_spin_lock():
         env = dev.core(core_id)
         yield from env.tas_acquire(0)
         order.append(("in", core_id, sim.now))
-        yield Delay(hold_ns)
+        yield hold_ns
         yield from env.tas_release(0)
 
     sim.spawn(prog(2, 500.0))

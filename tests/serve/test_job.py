@@ -25,11 +25,20 @@ class TestJobSpec:
             ("timeout_s", -1.0),
             ("progress_every_events", 0),
             ("scheme", "no-such-scheme"),
+            ("kernel", "bogus"),
+            ("kernel", "sharded:2"),
+            ("fuse", "false"),
+            ("fuse", 0),
         ],
     )
     def test_bad_fields_rejected(self, field, value):
         with pytest.raises(ValueError):
             JobSpec(**{field: value}).validate()
+
+    def test_string_fuse_from_json_rejected(self):
+        # bool("false") is True: accepting it would run the job fused.
+        with pytest.raises(ValueError, match="fuse"):
+            JobSpec.from_dict({"fuse": "false"}).validate()
 
     def test_builtin_workloads_registered(self):
         names = workload_names()
@@ -52,7 +61,7 @@ class TestJobSpec:
             priority=3,
             num_devices=2,
             scheme="vdma",
-            kernel="sharded:2",
+            kernel="serial",
             fuse=False,
             seed=7,
             timeout_s=1.5,

@@ -91,6 +91,17 @@ class TestEndToEnd:
 
         run_async(scenario())
 
+    @pytest.mark.parametrize("field, value", [("kernel", "bogus"), ("fuse", "false")])
+    def test_submit_rejects_bad_kernel_and_fuse(self, field, value):
+        async def scenario():
+            async with SimService(workers=1, pool="inline") as service:
+                with pytest.raises(ValueError, match=field):
+                    await service.submit(spin_spec(**{field: value}))
+                assert not service.core.jobs
+                assert len(service.core.scheduler) == 0
+
+        run_async(scenario())
+
     def test_deterministic_fingerprint_through_service(self):
         async def scenario():
             outcomes = []

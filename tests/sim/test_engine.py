@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Delay, Event, Process, Signal, Simulator
+from repro.sim.engine import Event, Process, Signal, Simulator
 from repro.sim.errors import DeadlockError, InvalidYield, ProcessFailed
 
 
@@ -10,8 +10,8 @@ def test_delay_advances_time():
     sim = Simulator()
 
     def prog():
-        yield Delay(10.0)
-        yield Delay(2.5)
+        yield 10.0
+        yield 2.5
         return sim.now
 
     proc = sim.spawn(prog())
@@ -20,18 +20,13 @@ def test_delay_advances_time():
     assert sim.now == pytest.approx(12.5)
 
 
-def test_negative_delay_rejected():
-    with pytest.raises(ValueError):
-        Delay(-1.0)
-
-
 def test_processes_interleave_deterministically():
     sim = Simulator()
     order = []
 
     def prog(name, step):
         for i in range(3):
-            yield Delay(step)
+            yield step
             order.append((name, sim.now))
 
     sim.spawn(prog("a", 2.0))
@@ -52,7 +47,7 @@ def test_event_wakes_waiter_with_value():
         return value
 
     def trigger(evt):
-        yield Delay(5.0)
+        yield 5.0
         evt.trigger("payload")
 
     evt = sim.event()
@@ -89,7 +84,7 @@ def test_wait_on_process_returns_its_value():
     sim = Simulator()
 
     def child():
-        yield Delay(3.0)
+        yield 3.0
         return "done"
 
     def parent(child_proc):
@@ -106,7 +101,7 @@ def test_process_failure_propagates_to_waiter():
     sim = Simulator(fail_fast=False)
 
     def child():
-        yield Delay(1.0)
+        yield 1.0
         raise RuntimeError("boom")
 
     def parent(child_proc):
@@ -124,7 +119,7 @@ def test_fail_fast_raises_from_run():
     sim = Simulator(fail_fast=True)
 
     def bad():
-        yield Delay(1.0)
+        yield 1.0
         raise ValueError("bad")
 
     sim.spawn(bad())
@@ -169,7 +164,7 @@ def test_run_until_limit():
 
     def forever():
         while True:
-            yield Delay(1.0)
+            yield 1.0
 
     sim.spawn(forever())
     sim.run(until=10.0)

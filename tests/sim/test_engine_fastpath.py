@@ -1,14 +1,14 @@
 """Unit tests for the kernel hot paths: bare-number yields + zero-delay lane.
 
 These pin the behaviours the hot-path overhaul introduced: a bare
-``float``/``int`` yield is exactly ``Delay(value)``, negative bare
-numbers are invalid yields, and the zero-delay fast lane preserves the
+``float``/``int`` yield advances time by that many nanoseconds, negative
+bare numbers are invalid yields, and the zero-delay fast lane preserves the
 global (time, seq) dispatch order against heap-scheduled wake-ups.
 """
 
 import pytest
 
-from repro.sim.engine import Delay, Event, Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.errors import DeadlockError, InvalidYield
 
 
@@ -36,24 +36,6 @@ def test_bare_int_yield_advances_time():
     proc = sim.spawn(prog())
     sim.run()
     assert proc.result == pytest.approx(10.0)
-
-
-def test_bare_and_delay_yields_are_equivalent():
-    """The same program yields identical event counts and times both ways."""
-
-    def run(make_command):
-        sim = Simulator()
-
-        def prog(step):
-            for _ in range(5):
-                yield make_command(step)
-
-        sim.spawn(prog(2.0))
-        sim.spawn(prog(3.0))
-        sim.run()
-        return sim.now, sim.events_processed
-
-    assert run(lambda ns: ns) == run(Delay)
 
 
 def test_negative_bare_yield_is_invalid():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Delay, Simulator, wait_all
+from repro.sim.engine import Simulator, wait_all
 from repro.sim.errors import DeadlockError, SimulationError
 
 
@@ -11,12 +11,12 @@ def test_run_until_event():
     evt = sim.event()
 
     def trigger():
-        yield Delay(25.0)
+        yield 25.0
         evt.trigger("v")
 
     def background():
         for _ in range(100):
-            yield Delay(10.0)
+            yield 10.0
 
     sim.spawn(trigger())
     sim.spawn(background())
@@ -31,7 +31,7 @@ def test_run_until_time_limit():
 
     def never():
         while True:
-            yield Delay(10.0)
+            yield 10.0
 
     sim.spawn(never())
     with pytest.raises(SimulationError, match="limit"):
@@ -55,7 +55,7 @@ def test_wait_all_helper():
     sim = Simulator()
 
     def worker(n):
-        yield Delay(n * 10.0)
+        yield n * 10.0
         return n * n
 
     procs = [sim.spawn(worker(n)) for n in (3, 1, 2)]
@@ -69,7 +69,7 @@ def test_max_events_stops_early():
 
     def ticker():
         for _ in range(100):
-            yield Delay(1.0)
+            yield 1.0
 
     sim.spawn(ticker())
     sim.run(max_events=10)

@@ -1,116 +1,36 @@
-"""Unit tests for the pluggable kernel backends (repro.sim.kernel)."""
+"""Unit tests for the simulator's event queue (repro.sim.kernel)."""
 
 import pytest
 
-from repro.sim import (
-    KERNEL_ENV_VAR,
-    Kernel,
-    SerialKernel,
-    ShardedKernel,
-    Simulator,
-    kernel_from_spec,
-)
-from repro.sim.errors import DeadlockError
+from repro.sim import Event, SerialKernel, Simulator
 
 
-# -- kernel_from_spec: the one selection path ---------------------------------
+# -- the kernel inputs that remain ---------------------------------------------
 
 
 def test_spec_none_and_serial_build_serial():
-    assert isinstance(kernel_from_spec(None), SerialKernel)
-    assert isinstance(kernel_from_spec("serial"), SerialKernel)
-    assert isinstance(kernel_from_spec(""), SerialKernel)
+    from repro.vscc.system import VSCCSystem
 
-
-def test_spec_sharded_defaults_and_counts():
-    assert kernel_from_spec("sharded").num_shards == ShardedKernel.DEFAULT_LANES
-    assert kernel_from_spec("sharded", default_shards=6).num_shards == 6
-    assert kernel_from_spec("sharded:4").num_shards == 4
-    # An explicit :N wins over the caller's default hint.
-    assert kernel_from_spec("sharded:3", default_shards=6).num_shards == 3
-
-
-def test_spec_case_and_whitespace_insensitive():
-    assert isinstance(kernel_from_spec(" Serial "), SerialKernel)
-    assert kernel_from_spec(" SHARDED:5 ").num_shards == 5
-
-
-def test_spec_instance_passthrough():
-    kernel = ShardedKernel(num_shards=3)
-    assert kernel_from_spec(kernel) is kernel
+    assert isinstance(Simulator().kernel, SerialKernel)
+    for spec in (None, "serial"):
+        system = VSCCSystem(num_devices=1, kernel=spec)
+        assert isinstance(system.kernel, SerialKernel)
+        assert system.kernel is system.sim.kernel
 
 
 def test_spec_errors():
-    with pytest.raises(ValueError, match="unknown kernel spec"):
-        kernel_from_spec("parallel")
-    with pytest.raises(ValueError, match="not an integer"):
-        kernel_from_spec("sharded:many")
-    with pytest.raises(ValueError, match="at least one shard"):
-        ShardedKernel(num_shards=0)
-    with pytest.raises(TypeError, match="string or Kernel"):
-        kernel_from_spec(3)
+    from repro.vscc.system import VSCCSystem
+
+    for spec in ("sharded", "sharded:4", "parallel", ""):
+        with pytest.raises(ValueError, match="removed in repro 1.2"):
+            VSCCSystem(num_devices=1, kernel=spec)
 
 
-def test_describe_round_trips():
-    assert kernel_from_spec("serial").describe() == "serial"
-    assert kernel_from_spec("sharded:3").describe() == "sharded:3"
-
-
-def test_kernel_attaches_to_exactly_one_simulator():
-    kernel = ShardedKernel(num_shards=2)
-    Simulator(kernel=kernel)
-    with pytest.raises(RuntimeError, match="already attached"):
-        Simulator(kernel=kernel)
-
-
-def test_simulator_accepts_spec_strings():
-    assert isinstance(Simulator(kernel="sharded:3").kernel, ShardedKernel)
-    assert isinstance(Simulator().kernel, SerialKernel)
-
-
-# -- lane mapping and inheritance ---------------------------------------------
-
-
-def test_lane_mapping_reserves_lane_zero_for_host():
-    kernel = ShardedKernel(num_shards=6)
-    assert kernel.lane_for(None) == 0
-    assert [kernel.lane_for(d) for d in range(5)] == [1, 2, 3, 4, 5]
-    # More devices than lanes: wrap around the device lanes, never 0.
-    assert kernel.lane_for(5) == 1
-
-
-def test_single_lane_kernel_degenerates_to_lane_zero():
-    kernel = ShardedKernel(num_shards=1)
-    assert kernel.lane_for(None) == 0
-    assert kernel.lane_for(3) == 0
-
-
-def test_spawned_children_inherit_the_spawners_lane():
-    sim = Simulator(kernel="sharded:4")
-    lanes = {}
-
-    def child():
-        yield 1.0
-
-    def parent():
-        proc = sim.spawn(child())  # no shard hint: inherits lane
-        lanes["child_lane"] = proc._lane
-        yield 2.0
-
-    root = sim.spawn(parent(), shard=2)
-    lanes["parent_lane"] = root._lane
-    sim.run()
-    assert lanes["parent_lane"] == ShardedKernel(4).lane_for(2)
-    assert lanes["child_lane"] == lanes["parent_lane"]
-
-
-# -- dispatch equivalence ------------------------------------------------------
+# -- dispatch ------------------------------------------------------------------
 
 
 def _mixed_program(sim, log):
-    """Two shards of processes exchanging through timers and events."""
-    from repro.sim import Event
-
+    """Two processes exchanging through timers and an event."""
     evt = Event(sim)
 
     def pinger():
@@ -126,29 +46,12 @@ def _mixed_program(sim, log):
         yield 0.5
         log.append(("pong-end", sim.now))
 
-    sim.spawn(pinger(), shard=0)
-    sim.spawn(ponger(), shard=1)
-
-
-@pytest.mark.parametrize("spec", ["serial", "sharded", "sharded:3"])
-def test_mixed_program_identical_across_backends(spec):
-    baseline = Simulator()
-    log_a = []
-    _mixed_program(baseline, log_a)
-    baseline.run()
-
-    sim = Simulator(kernel=spec)
-    log_b = []
-    _mixed_program(sim, log_b)
-    sim.run()
-
-    assert log_b == log_a
-    assert sim.now == baseline.now
-    assert sim.events_processed == baseline.events_processed
+    sim.spawn(pinger())
+    sim.spawn(ponger())
 
 
 def test_run_until_stops_at_horizon_boundary():
-    sim = Simulator(kernel="sharded:3")
+    sim = Simulator()
     ticks = []
 
     def ticker(period):
@@ -156,72 +59,14 @@ def test_run_until_stops_at_horizon_boundary():
             yield period
             ticks.append((period, sim.now))
 
-    sim.spawn(ticker(3.0), name="t3", shard=0)
-    sim.spawn(ticker(5.0), name="t5", shard=1)
+    sim.spawn(ticker(3.0), name="t3")
+    sim.spawn(ticker(5.0), name="t5")
     sim.run(until=12.0)
     assert sim.now == 12.0
     assert ticks == [
         (3.0, 3.0), (5.0, 5.0), (3.0, 6.0), (3.0, 9.0),
         (5.0, 10.0), (3.0, 12.0),
     ]
-
-
-def test_max_events_exact_under_sharded():
-    sim = Simulator(kernel="sharded:2")
-
-    def ticker():
-        while True:
-            yield 1.0
-
-    sim.spawn(ticker(), shard=0)
-    sim.spawn(ticker(), shard=1)
-    sim.run(max_events=7)
-    assert sim.events_processed >= 7
-
-
-def test_deadlock_detected_under_sharded():
-    from repro.sim import Event
-
-    sim = Simulator(kernel="sharded:2")
-    evt = Event(sim)
-
-    def stuck():
-        yield evt
-
-    sim.spawn(stuck(), shard=0)
-    with pytest.raises(DeadlockError):
-        sim.run()
-
-
-# -- sync-overhead observability ----------------------------------------------
-
-
-def test_sharded_metrics_report_sync_counters():
-    sim = Simulator(kernel="sharded:3")
-    log = []
-    _mixed_program(sim, log)
-    sim.run()
-    snap = sim.metrics_snapshot()
-    assert snap["kernel.shards"] == 3.0
-    assert snap["kernel.windows"] >= 1.0
-    assert "kernel.preempts" in snap
-    assert "kernel.lane_events{lane=1}" in snap
-    total_lane_events = sum(
-        v for k, v in snap.items() if k.startswith("kernel.lane_events")
-    )
-    assert total_lane_events == sim.events_processed
-
-
-def test_serial_metrics_have_no_sharded_series():
-    sim = Simulator()
-    snap = sim.metrics_snapshot()
-    # The serial backend still exports the backend-independent counters
-    # (delay fusion + event-source attribution)…
-    assert snap["kernel.fused_yields"] == 0.0
-    # …but none of the sharded window-protocol series.
-    for key in ("kernel.shards", "kernel.windows", "kernel.preempts",
-                "kernel.stale_discards", "kernel.lookahead_ns"):
-        assert key not in snap
 
 
 def test_event_source_attribution():
@@ -235,48 +80,3 @@ def test_event_source_attribution():
     }
     assert sources, "dispatch should attribute events to sources"
     assert sum(sources.values()) == float(sim.events_processed)
-
-
-def test_lookahead_counts_subhorizon_wakes():
-    from repro.sim import Event
-
-    # 3 lanes so the two shards land on distinct device lanes.
-    kernel = ShardedKernel(num_shards=3, lookahead_ns=100.0)
-    sim = Simulator(kernel=kernel)
-    evt = Event(sim)
-
-    def waker():
-        yield 5.0
-        evt.trigger(None)  # cross-lane wake far below the lookahead
-        yield 50.0
-
-    def sleeper():
-        yield evt
-
-    sim.spawn(waker(), shard=0)
-    sim.spawn(sleeper(), shard=1)
-    sim.run()
-    snap = sim.metrics_snapshot()
-    assert snap["kernel.lookahead_ns"] == 100.0
-    assert snap["kernel.subhorizon_wakes"] >= 1.0
-
-
-# -- environment override ------------------------------------------------------
-
-
-def test_env_var_selects_backend_for_systems(monkeypatch):
-    from repro.rcce.session import RcceSession
-    from repro.vscc.system import VSCCSystem
-
-    monkeypatch.setenv(KERNEL_ENV_VAR, "sharded:4")
-    assert isinstance(VSCCSystem(num_devices=2).kernel, ShardedKernel)
-    assert VSCCSystem(num_devices=2).kernel.num_shards == 4
-    assert RcceSession().kernel.num_shards == 4
-
-    # An explicit kernel= beats the environment.
-    monkeypatch.setenv(KERNEL_ENV_VAR, "sharded:4")
-    assert isinstance(VSCCSystem(num_devices=2, kernel="serial").kernel, SerialKernel)
-
-    # A bare "sharded" env spec gets one lane per device plus the host lane.
-    monkeypatch.setenv(KERNEL_ENV_VAR, "sharded")
-    assert VSCCSystem(num_devices=5).kernel.num_shards == 6

@@ -1,6 +1,6 @@
 """Unit tests for SimQueue."""
 
-from repro.sim.engine import Delay, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.queue import SimQueue
 
 
@@ -28,7 +28,7 @@ def test_get_blocks_until_put():
         got["t"] = sim.now
 
     def putter():
-        yield Delay(42.0)
+        yield 42.0
         q.put("late")
 
     sim.spawn(getter())
@@ -50,7 +50,7 @@ def test_fifo_order_among_waiters():
     sim.spawn(getter("second"))
 
     def putter():
-        yield Delay(1.0)
+        yield 1.0
         q.put(1)
         q.put(2)
 

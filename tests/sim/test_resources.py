@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Delay, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.resources import Link, Mutex
 
 
@@ -93,7 +93,7 @@ def test_mutex_mutual_exclusion_fifo():
     def prog(name, hold):
         yield from mutex.acquire()
         order.append((name, "in", sim.now))
-        yield Delay(hold)
+        yield hold
         mutex.release()
 
     sim.spawn(prog("a", 10))

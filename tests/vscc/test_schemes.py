@@ -39,19 +39,15 @@ def test_thresholds_in_paper_range():
             assert scheme.direct_threshold == 0
 
 
-def test_direct_threshold_name_removed_but_warns():
-    """The dict is gone from the public surface; the module-level name
-    survives only as a warning shim until repro 1.2."""
+def test_direct_threshold_name_removed():
+    """The module-level dict is gone; CommScheme.direct_threshold replaces it."""
     import repro.vscc
     import repro.vscc.schemes as schemes
 
     assert "DIRECT_THRESHOLD" not in schemes.__all__
     assert "DIRECT_THRESHOLD" not in repro.vscc.__all__
-    with pytest.warns(DeprecationWarning, match="repro 1.2"):
-        legacy = schemes.DIRECT_THRESHOLD
-    assert legacy[CommScheme.REMOTE_PUT_WCB] == (
-        CommScheme.REMOTE_PUT_WCB.direct_threshold
-    )
+    with pytest.raises(AttributeError):
+        schemes.DIRECT_THRESHOLD
 
 
 def test_selector_picks_by_locality_and_size():
