@@ -32,7 +32,7 @@ from .scc import CACHE_LINE, MpbAddr, SCCDevice, SCCParams
 from .sim import Simulator
 from .vscc import CommScheme, RunResult, VSCCSystem, VsccTopology
 
-__version__ = "1.2.0"
+__version__ = "1.0.0"
 
 __all__ = [
     "CACHE_LINE",

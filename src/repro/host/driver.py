@@ -25,6 +25,7 @@ the inter-host link first.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -272,3 +273,18 @@ class Host:
         parts.extend(vdma.metrics_snapshot() for vdma in self.vdma.values())
         parts.append(self.cache.metrics_snapshot())
         return merge_snapshots(parts)
+
+    def pcie_bytes(self) -> dict[int, tuple[int, int]]:
+        """Deprecated: read ``metrics_snapshot()`` series
+        ``pcie.bytes{device=<id>,dir=up|down}`` instead."""
+        warnings.warn(
+            "Host.pcie_bytes() is deprecated; use Host.metrics_snapshot() "
+            "(series pcie.bytes{device=<id>,dir=up|down}) or "
+            "VSCCSystem.metrics",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+        return {
+            dev_id: (cable.bytes_up, cable.bytes_down)
+            for dev_id, cable in self.cables.items()
+        }

@@ -106,3 +106,20 @@ class RcceSession:
             core_cycles=self.params.core_clock.to_cycles(elapsed_ns),
             metrics=self.metrics,
         )
+
+    def launch(
+        self,
+        program: Callable[[Rcce], Generator],
+        ranks: Optional[Sequence[int]] = None,
+        until: Optional[float] = None,
+    ) -> dict[int, object]:
+        """Deprecated: use :meth:`run` and read ``RunResult.results``."""
+        import warnings
+
+        warnings.warn(
+            "RcceSession.launch() is deprecated and will be removed in "
+            "repro 1.2; use run() and read RunResult.results",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+        return self.run(program, ranks=ranks, until=until).results

@@ -1,7 +1,8 @@
 """The run-result surface shared by every session façade.
 
 :class:`RunResult` is what ``VSCCSystem.run()`` and ``RcceSession.run()``
-return. It lives in its own dependency-free module
+return — the ``run() -> RunResult`` API that replaced the historic
+``launch() -> dict`` surface. It lives in its own dependency-free module
 so both the multi-device system layer (:mod:`repro.vscc.system`) and the
 single-device session layer (:mod:`repro.rcce.session`) can return the
 same type without a layering cycle.

@@ -19,6 +19,7 @@ here.
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 from typing import Any, AsyncIterator, Callable, Mapping, Optional
 
@@ -103,6 +104,10 @@ class SimService:
         self._queue: Optional[asyncio.Queue] = None
         self._dispatcher: Optional[asyncio.Task] = None
         self._ticker: Optional[asyncio.Task] = None
+        #: Pool messages not yet handed to the loop (see ``_post``).
+        self._inbox: list[dict] = []
+        self._inbox_lock = threading.Lock()
+        self._wake_pending = False
         self._subs: dict[str, list[asyncio.Queue]] = {}
         self._futures: dict[str, asyncio.Future] = {}
         #: Every event ever broadcast, in order — the service-level
@@ -207,8 +212,30 @@ class SimService:
     # -- internals -------------------------------------------------------------
 
     def _post(self, msg: dict) -> None:
-        """Thread-safe entry for pool messages (reader threads land here)."""
-        self._loop.call_soon_threadsafe(self._queue.put_nowait, msg)
+        """Thread-safe entry for pool messages (reader threads land here).
+
+        Messages collect in an inbox and at most one loop wake-up is in
+        flight at a time. Waking the loop once per message lets a busy
+        worker thread livelock it: every message writes a byte to the
+        loop's self-pipe, and asyncio's ``_read_from_self`` keeps reading
+        until the pipe is empty. A worker holding the GIL refills it
+        between two reads, so the loop never gets past that read and the
+        ticker, cancels and the messages themselves all wait for the job
+        to end.
+        """
+        with self._inbox_lock:
+            self._inbox.append(msg)
+            if self._wake_pending:
+                return
+            self._wake_pending = True
+        self._loop.call_soon_threadsafe(self._drain_inbox)
+
+    def _drain_inbox(self) -> None:
+        with self._inbox_lock:
+            msgs, self._inbox = self._inbox, []
+            self._wake_pending = False
+        for msg in msgs:
+            self._queue.put_nowait(msg)
 
     async def _dispatch_loop(self) -> None:
         while True:

@@ -305,6 +305,23 @@ class VSCCSystem:
             degraded_devices=() if injector is None else injector.degraded_devices,
         )
 
+    def launch(
+        self,
+        program: Callable[[Rcce], Generator],
+        ranks: Optional[Sequence[int]] = None,
+        until: Optional[float] = None,
+    ) -> dict[int, object]:
+        """Deprecated: use :meth:`run` and read ``RunResult.results``."""
+        import warnings
+
+        warnings.warn(
+            "VSCCSystem.launch() is deprecated and will be removed in "
+            "repro 1.2; use run() and read RunResult.results",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+        return self.run(program, ranks=ranks, until=until).results
+
     # -- stats ----------------------------------------------------------------------------
 
     @property

@@ -22,11 +22,23 @@ from repro.vscc.system import VSCCSystem
 PINGPONG_SIZES = (256, 2048, 16384, 65536)
 
 
-def _system(plan=None, num_devices=2):
+#: Kernel inputs the suite passes to ``VSCCSystem(kernel=)``: the one
+#: that remains, pinned explicitly (``None``, the default, is what every
+#: other suite builds).
+KERNELS = ["serial"]
+
+
+@pytest.fixture(params=KERNELS)
+def kernel(request):
+    return request.param
+
+
+def _system(kernel, plan=None, num_devices=2):
     return VSCCSystem(
         num_devices=num_devices,
         scheme=CommScheme.LOCAL_PUT_LOCAL_GET_VDMA,
         fault_plan=plan,
+        kernel=kernel,
     )
 
 
@@ -39,15 +51,17 @@ def _assert_accounting(totals):
     )
 
 
-def test_lossy_link_run_completes_with_identical_results():
+def test_lossy_link_run_completes_with_identical_results(kernel):
     """Acceptance criterion: drop=1e-3 on one PCIe link, ping-pong style run.
 
     Same numerical results as fault-free (payload-verified), more than
     zero retries, zero degraded devices.
     """
-    base = run_pingpong(_system(), 0, 48, sizes=PINGPONG_SIZES, iterations=3)
+    base = run_pingpong(
+        _system(kernel), 0, 48, sizes=PINGPONG_SIZES, iterations=3
+    )
     plan = FaultPlan.lossy(1e-3, link="pcie1.down", seed=2)
-    system = _system(plan)
+    system = _system(kernel, plan)
     points = run_pingpong(system, 0, 48, sizes=PINGPONG_SIZES, iterations=3)
 
     # run_pingpong(verify=True) already checked every payload byte; the
@@ -62,7 +76,7 @@ def test_lossy_link_run_completes_with_identical_results():
     _assert_accounting(totals)
 
 
-def test_heavy_chaos_accounting_identity():
+def test_heavy_chaos_accounting_identity(kernel):
     """Drop + corrupt + duplicate + stall together, still exactly-once."""
     plan = FaultPlan(
         seed=21,
@@ -70,7 +84,7 @@ def test_heavy_chaos_accounting_identity():
         retry_timeout_ns=5_000.0,
         backoff_ns=2_000.0,
     )
-    system = _system(plan)
+    system = _system(kernel, plan)
     run_pingpong(system, 0, 48, sizes=(1024, 8192, 32768), iterations=3)
     totals = system.fault_injector.totals()
     assert totals["faults.retries"] > 0
@@ -80,7 +94,7 @@ def test_heavy_chaos_accounting_identity():
     _assert_accounting(totals)
 
 
-def test_dead_device_reset_degrades_gracefully():
+def test_dead_device_reset_degrades_gracefully(kernel):
     """A mid-run device death exhausts the budget; reset finishes the job."""
     plan = FaultPlan(
         seed=11,
@@ -89,7 +103,7 @@ def test_dead_device_reset_degrades_gracefully():
         retry_timeout_ns=10_000.0,
         backoff_ns=5_000.0,
     )
-    system = _system(plan)
+    system = _system(kernel, plan)
     points = run_pingpong(system, 0, 48, sizes=(1024, 8192), iterations=2)
     assert len(points) == 2            # the workload ran to completion
     totals = system.fault_injector.totals()
@@ -99,7 +113,7 @@ def test_dead_device_reset_degrades_gracefully():
     _assert_accounting(totals)
 
 
-def test_dead_device_reset_surfaces_in_run_result():
+def test_dead_device_reset_surfaces_in_run_result(kernel):
     plan = FaultPlan(
         seed=11,
         devices={1: DeviceFaults(dead_at_ns=100_000.0)},
@@ -107,7 +121,7 @@ def test_dead_device_reset_surfaces_in_run_result():
         retry_timeout_ns=10_000.0,
         backoff_ns=5_000.0,
     )
-    system = _system(plan)
+    system = _system(kernel, plan)
 
     def program(comm):
         if comm.rank == 0:
@@ -121,7 +135,7 @@ def test_dead_device_reset_surfaces_in_run_result():
     assert result.metrics["faults.quarantined{device=1,mode=reset}"] == 1.0
 
 
-def test_severed_cable_deadlocks_inflight_and_fails_fast_afterwards():
+def test_severed_cable_deadlocks_inflight_and_fails_fast_afterwards(kernel):
     plan = FaultPlan(
         seed=11,
         devices={1: DeviceFaults(dead_at_ns=100_000.0)},
@@ -130,7 +144,7 @@ def test_severed_cable_deadlocks_inflight_and_fails_fast_afterwards():
         retry_timeout_ns=10_000.0,
         backoff_ns=5_000.0,
     )
-    system = _system(plan)
+    system = _system(kernel, plan)
 
     def program(comm):
         if comm.rank == 0:
@@ -156,9 +170,9 @@ def test_severed_cable_deadlocks_inflight_and_fails_fast_afterwards():
         next(gen)
 
 
-def test_empty_plan_is_bit_identical_to_no_plan():
+def test_empty_plan_is_bit_identical_to_no_plan(kernel):
     def run(plan):
-        system = _system(plan)
+        system = _system(kernel, plan)
         run_pingpong(system, 0, 48, sizes=(512, 4096), iterations=2)
         return system.sim.now, system.sim.events_processed, system.metrics
 
@@ -169,12 +183,12 @@ def test_empty_plan_is_bit_identical_to_no_plan():
     assert metrics_a == metrics_b
 
 
-def test_bt_completes_under_global_loss():
+def test_bt_completes_under_global_loss(kernel):
     """Fig7-style NPB BT run (64 ranks) under a global lossy plan."""
     from repro.apps.npb import BTBenchmark
 
     bench = BTBenchmark(clazz="S", nranks=64, niter=1, mode="model")
-    system = _system(FaultPlan.lossy(2e-4, seed=5))
+    system = _system(kernel, FaultPlan.lossy(2e-4, seed=5))
     result = system.run(bench.program, ranks=range(64))
     assert len(result.results) == 64
     assert all(isinstance(v, float) for v in result.results.values())
@@ -188,18 +202,20 @@ def test_bt_completes_under_global_loss():
 # -- PR 4: faults compose with policy-mixed schemes --------------------------------
 
 
-def _policy_system(plan=None):
+def _policy_system(kernel, plan=None):
     from repro.vscc.policy import ThresholdPolicy
 
-    return VSCCSystem(num_devices=2, policy=ThresholdPolicy(), fault_plan=plan)
+    return VSCCSystem(
+        num_devices=2, policy=ThresholdPolicy(), fault_plan=plan, kernel=kernel
+    )
 
 
-def test_lossy_link_under_threshold_policy_mixed_schemes():
+def test_lossy_link_under_threshold_policy_mixed_schemes(kernel):
     """The retry layer is scheme-agnostic: one run whose messages ride
     both the cached-get and the vDMA transports (ThresholdPolicy bands)
     stays exactly-once under a lossy link."""
     plan = FaultPlan.lossy(1e-3, link="pcie1.down", seed=2)
-    system = _policy_system(plan)
+    system = _policy_system(kernel, plan)
     # Sizes straddle the cutover: 256/2048 → cached-get, 16384/65536 → vDMA.
     points = run_pingpong(system, 0, 48, sizes=PINGPONG_SIZES, iterations=3)
     assert len(points) == len(PINGPONG_SIZES)  # verify=True checked payloads
@@ -213,7 +229,7 @@ def test_lossy_link_under_threshold_policy_mixed_schemes():
     _assert_accounting(totals)
 
 
-def test_quarantine_fires_under_threshold_policy():
+def test_quarantine_fires_under_threshold_policy(kernel):
     """A dead device exhausts the retry budget and is quarantined even
     when the run mixes schemes per message (acceptance criterion)."""
     plan = FaultPlan(
@@ -223,7 +239,7 @@ def test_quarantine_fires_under_threshold_policy():
         retry_timeout_ns=10_000.0,
         backoff_ns=5_000.0,
     )
-    system = _policy_system(plan)
+    system = _policy_system(kernel, plan)
     points = run_pingpong(system, 0, 48, sizes=(1024, 8192), iterations=2)
     assert len(points) == 2
     totals = system.fault_injector.totals()

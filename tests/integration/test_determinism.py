@@ -109,6 +109,17 @@ def test_faulty_program_replays_identically(kernel):
     assert first["degraded"] == second["degraded"]
 
 
+def test_faulty_program_matches_serial_bit_for_bit():
+    """The pinned ``"serial"`` input builds the default kernel: retry and
+    backoff timing under faults agree bit for bit."""
+    serial = _run_faulty_program("serial")
+    default = _run_faulty_program(None)
+    assert default["now"] == serial["now"]
+    assert default["events"] == serial["events"]
+    assert default["degraded"] == serial["degraded"]
+    assert default["metrics"] == serial["metrics"]
+
+
 def test_fig6a_replays_identically():
     kwargs = dict(sizes=(64, 1024, 8192), iterations=2)
     first = fig6a_onchip(**kwargs)

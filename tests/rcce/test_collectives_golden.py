@@ -35,7 +35,8 @@ POLICIES = {
 }
 
 #: Kernel inputs the golden matrix passes to VSCCSystem: the one that
-#: remains pinned explicitly (None, the default, is covered elsewhere).
+#: remains, pinned explicitly (None, the default, is compared against it
+#: at the end of this file).
 KERNELS = ["serial"]
 
 #: One system per (policy, kernel), shared across the matrix: collectives
@@ -433,3 +434,40 @@ def test_single_device_hier_degenerates_to_flat(op_name, session):
 
     session.run(program, ranks=range(n))
     assert got["flat"] == got["hier"]
+
+
+# -- kernel-input fingerprint contract -----------------------------------------
+
+
+def test_collective_fingerprints_identical_across_kernels():
+    """One collective mix, every kernel input, one (now, events) fingerprint.
+
+    ``kernel=None`` and every entry of ``KERNELS`` must build the same
+    kernel, so the simulated clock, the event count and every payload
+    byte agree bit for bit.
+    """
+
+    def fingerprint(kernel):
+        system = VSCCSystem(
+            num_devices=2, policy=POLICIES["threshold"](), kernel=kernel
+        )
+        vals = {}
+
+        def program(comm):
+            gi = MEMBERS.index(comm.rank)
+            data = (np.arange(64) * (gi + 1)).astype(np.float64)
+            out = yield from comm.allreduce(
+                data, np.add, members=MEMBERS, hierarchical=True
+            )
+            yield from comm.barrier(members=MEMBERS)
+            vals[comm.rank] = out
+
+        system.run(program, ranks=MEMBERS)
+        return system.sim.now, system.sim.events_processed, vals
+
+    now_d, events_d, vals_d = fingerprint(None)
+    for kernel in KERNELS:
+        now_k, events_k, vals_k = fingerprint(kernel)
+        assert (now_k, events_k) == (now_d, events_d), kernel
+        for rank in MEMBERS:
+            assert (vals_k[rank] == vals_d[rank]).all(), (kernel, rank)

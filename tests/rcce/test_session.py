@@ -1,5 +1,7 @@
 """Unit tests for the single-device session."""
 
+import pytest
+
 from repro.rcce.session import RcceSession
 
 
@@ -27,6 +29,16 @@ def test_run_collects_results(session):
     assert result.results == {1: 2, 5: 10}
     assert result.elapsed_ns > 0
     assert result[5] == 10
+
+
+def test_launch_shim_warns_and_matches_run(session):
+    def program(comm):
+        yield from comm.env.compute(cycles=10)
+        return comm.rank * 2
+
+    with pytest.warns(DeprecationWarning, match="repro 1.2"):
+        results = session.launch(program, ranks=[1, 5])
+    assert results == {1: 2, 5: 10}
 
 
 def test_descending_core_order():

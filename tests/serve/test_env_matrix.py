@@ -1,8 +1,8 @@
 """Environment-matrix regression: service path vs direct ``run()``.
 
-For every ``REPRO_FUSE`` setting, a job whose spec leaves ``fuse``
-unset must defer to the environment exactly like a hand-built system —
-and produce the
+For every kernel input × ``REPRO_FUSE`` setting, a job whose spec
+leaves ``fuse`` unset must defer to the environment exactly like a
+hand-built system with the same ``kernel=`` — and produce the
 bit-identical ``sim_now_ns`` through the whole service stack
 (scheduler, pool, retries-not-taken and all) as a direct
 ``VSCCSystem.run()`` in the same environment.
@@ -24,7 +24,11 @@ from repro.vscc.system import VSCCSystem
 
 from .conftest import run_async
 
+#: ``"serial"`` is the one kernel input left besides the default ``None``
+#: (which ``test_spec_overrides_beat_environment`` builds).
+KERNELS = ("serial",)
 FUSE_MODES = ("0", "1")
+MATRIX = [(kernel, fuse) for kernel in KERNELS for fuse in FUSE_MODES]
 
 WORKLOAD = "pingpong"
 PARAMS = {"sizes": (256, 4096), "iterations": 1}
@@ -33,16 +37,17 @@ SCHEME = "vdma"
 SEED = 42
 
 
-def direct_fingerprint():
+def direct_fingerprint(kernel=None):
     """The reference: a hand-built system run outside the service."""
     system = VSCCSystem(
-        num_devices=NUM_DEVICES, scheme=CommScheme(SCHEME), seed=SEED
+        num_devices=NUM_DEVICES, scheme=CommScheme(SCHEME), seed=SEED,
+        kernel=kernel,
     )
     _WORKLOADS[WORKLOAD](system, dict(PARAMS))
     return system.sim.now, system.sim.events_processed
 
 
-def service_fingerprint():
+def service_fingerprint(kernel=None):
     async def scenario():
         async with SimService(workers=2, pool="inline") as service:
             handle = await service.submit(
@@ -53,6 +58,7 @@ def service_fingerprint():
                     num_devices=NUM_DEVICES,
                     scheme=SCHEME,
                     seed=SEED,
+                    kernel=kernel,
                 )
             )
             result = await handle.result(timeout=60)
@@ -62,25 +68,25 @@ def service_fingerprint():
     return run_async(scenario())
 
 
-@pytest.mark.parametrize("fuse", FUSE_MODES)
-def test_service_matches_direct_run(monkeypatch, fuse):
+@pytest.mark.parametrize("kernel,fuse", MATRIX)
+def test_service_matches_direct_run(monkeypatch, kernel, fuse):
     monkeypatch.setenv(FUSE_ENV_VAR, fuse)
-    direct_now, direct_events = direct_fingerprint()
-    served_now, served_events = service_fingerprint()
+    direct_now, direct_events = direct_fingerprint(kernel)
+    served_now, served_events = service_fingerprint(kernel)
     assert served_now == direct_now
     assert served_events == direct_events
 
 
 def test_matrix_cells_agree_on_simulated_time(monkeypatch):
-    """Both fuse modes produce one identical simulated end time.
+    """Every matrix cell produces one identical simulated end time.
 
     (Event counts legitimately differ with fusion; the simulated clock
     must not.)
     """
     times = set()
-    for fuse in FUSE_MODES:
+    for kernel, fuse in MATRIX:
         monkeypatch.setenv(FUSE_ENV_VAR, fuse)
-        now, _ = service_fingerprint()
+        now, _ = service_fingerprint(kernel)
         times.add(now)
     assert len(times) == 1
 

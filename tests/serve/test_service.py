@@ -8,6 +8,9 @@ metrics — everything except real process death, which lives in
 
 from __future__ import annotations
 
+import asyncio
+import threading
+
 import pytest
 
 from repro.serve import JobSpec, ServeClient, SimService
@@ -184,6 +187,50 @@ class TestTimeout:
                 result = await handle.result(timeout=30)
                 assert result.state == "failed"
                 assert result.error["type"] == "JobTimeout"
+
+        run_async(scenario())
+
+
+class TestLoopWakeups:
+    def test_pool_message_burst_wakes_the_loop_once(self):
+        """Pool messages posted while a wake-up is pending share it.
+
+        One wake-up per message let a busy inline worker keep the loop
+        reading its self-pipe, so ticker kills and cancels never ran
+        until the job had finished.
+        """
+
+        async def scenario():
+            async with SimService(workers=1, pool="inline") as service:
+                loop = asyncio.get_running_loop()
+                wakeups = []
+                real = loop.call_soon_threadsafe
+
+                def counting(callback, *args):
+                    wakeups.append(callback)
+                    return real(callback, *args)
+
+                # stream messages for a job no worker runs: dropped as stale
+                stale = {"type": "stream", "worker": 0, "job_id": "t/0",
+                         "event": {}}
+
+                def burst():
+                    poster = threading.Thread(target=lambda: [
+                        service.pool.on_message(dict(stale))
+                        for _ in range(100)
+                    ])
+                    poster.start()
+                    poster.join()
+
+                loop.call_soon_threadsafe = counting
+                try:
+                    burst()
+                    assert len(wakeups) == 1
+                    await asyncio.sleep(0)  # the pending drain runs first
+                    burst()
+                    assert len(wakeups) == 2
+                finally:
+                    del loop.call_soon_threadsafe
 
         run_async(scenario())
 

@@ -20,6 +20,19 @@ def test_delay_advances_time():
     assert sim.now == pytest.approx(12.5)
 
 
+def test_negative_delay_rejected():
+    """A negative ``int`` sleep is as invalid as a negative ``float``."""
+    sim = Simulator()
+
+    def prog():
+        yield -1
+
+    sim.spawn(prog())
+    with pytest.raises(InvalidYield):
+        sim.run()
+    assert sim.now == 0.0
+
+
 def test_processes_interleave_deterministically():
     sim = Simulator()
     order = []

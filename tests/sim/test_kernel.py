@@ -18,6 +18,13 @@ def test_spec_none_and_serial_build_serial():
         assert system.kernel is system.sim.kernel
 
 
+def test_kernel_attaches_to_exactly_one_simulator():
+    a, b = Simulator(), Simulator()
+    assert a.kernel.sim is a
+    assert b.kernel.sim is b
+    assert a.kernel is not b.kernel
+
+
 def test_spec_errors():
     from repro.vscc.system import VSCCSystem
 
@@ -50,6 +57,27 @@ def _mixed_program(sim, log):
     sim.spawn(ponger())
 
 
+@pytest.mark.parametrize("spec", ["serial"])
+def test_mixed_program_identical_across_backends(spec):
+    """A system built with an explicit kernel spec dispatches exactly
+    like a bare simulator."""
+    from repro.vscc.system import VSCCSystem
+
+    baseline = Simulator()
+    log_a = []
+    _mixed_program(baseline, log_a)
+    baseline.run()
+
+    sim = VSCCSystem(num_devices=1, kernel=spec).sim
+    log_b = []
+    _mixed_program(sim, log_b)
+    sim.run()
+
+    assert log_b == log_a
+    assert sim.now == baseline.now
+    assert sim.events_processed == baseline.events_processed
+
+
 def test_run_until_stops_at_horizon_boundary():
     sim = Simulator()
     ticks = []
@@ -67,6 +95,17 @@ def test_run_until_stops_at_horizon_boundary():
         (3.0, 3.0), (5.0, 5.0), (3.0, 6.0), (3.0, 9.0),
         (5.0, 10.0), (3.0, 12.0),
     ]
+
+
+def test_serial_metrics_have_no_sharded_series():
+    sim = Simulator()
+    snap = sim.metrics_snapshot()
+    # The kernel exports its delay-fusion and event-source counters…
+    assert snap["kernel.fused_yields"] == 0.0
+    # …and none of the removed sharded backend's window-protocol series.
+    for key in ("kernel.shards", "kernel.windows", "kernel.preempts",
+                "kernel.stale_discards", "kernel.lookahead_ns"):
+        assert key not in snap
 
 
 def test_event_source_attribution():

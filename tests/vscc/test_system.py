@@ -1,5 +1,7 @@
 """Unit tests for the VSCCSystem façade."""
 
+import pytest
+
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
 
@@ -41,14 +43,16 @@ def test_regions_registered_for_every_core():
     assert system.host.regions.classify(MpbAddr(0, 0, 7681)) is RegionKind.FLAG
 
 
-def test_run_subset_and_results():
+def test_launch_subset_and_results():
     system = VSCCSystem(num_devices=2)
 
     def program(comm):
         yield from comm.env.compute(cycles=1)
         return comm.rank
 
-    assert system.run(program, ranks=[0, 90]).results == {0: 0, 90: 90}
+    with pytest.warns(DeprecationWarning, match="launch"):
+        results = system.launch(program, ranks=[0, 90])
+    assert results == {0: 0, 90: 90}
 
 
 def test_traffic_matrix_shape():

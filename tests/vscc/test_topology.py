@@ -19,6 +19,12 @@ def test_device_coordinate(system):
     assert topo.num_devices() == 3
 
 
+def test_xyz_shim_warns_but_still_answers(system):
+    topo = system.topology
+    with pytest.warns(DeprecationWarning, match="coords"):
+        assert topo.xyz(48) == (0, 0, 1)
+
+
 def test_mesh_hops_only_same_device(system):
     topo = system.topology
     assert topo.mesh_hops(0, 47) == 8
