@@ -95,6 +95,12 @@ class SCCParams:
             raise ValueError("LMB and SF sizes must be cache-line multiples")
         if self.tiles_x < 1 or self.tiles_y < 1 or self.cores_per_tile < 1:
             raise ValueError("geometry must be positive")
+        # The clocks are read on every line-cost conversion, so each is
+        # built once per params instance (as Clock caches its period).
+        # They are not fields: eq/hash/repr still key on the values.
+        object.__setattr__(self, "_core_clock", Clock(self.core_freq_mhz))
+        object.__setattr__(self, "_mesh_clock", Clock(self.mesh_freq_mhz))
+        object.__setattr__(self, "_mem_clock", Clock(self.mem_freq_mhz))
 
     # -- derived geometry --------------------------------------------------------
 
@@ -115,15 +121,15 @@ class SCCParams:
 
     @property
     def core_clock(self) -> Clock:
-        return Clock(self.core_freq_mhz)
+        return self._core_clock
 
     @property
     def mesh_clock(self) -> Clock:
-        return Clock(self.mesh_freq_mhz)
+        return self._mesh_clock
 
     @property
     def mem_clock(self) -> Clock:
-        return Clock(self.mem_freq_mhz)
+        return self._mem_clock
 
     # -- coordinate helpers -----------------------------------------------------
 

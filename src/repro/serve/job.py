@@ -492,7 +492,8 @@ def execute_job(
             degraded = system.fault_injector.degraded_devices
         raise JobError(type(cause).__name__, str(cause), degraded) from exc
 
-    metrics = {str(k): float(v) for k, v in system.metrics.items()}
+    # The run built this snapshot as it finished; nothing runs after it.
+    metrics = {str(k): float(v) for k, v in run.metrics.items()}
     emit({"type": "metrics", "metrics": metrics})
     return {
         "sim_now_ns": sim.now,

@@ -75,3 +75,30 @@ def test_validation():
         SCCParams().tile_at(6, 0)
     with pytest.raises(ValueError):
         SCCParams()._check_core(48)
+
+
+def test_clocks_built_once_per_instance(params):
+    import dataclasses
+    import pickle
+
+    from repro.sim.clock import Clock
+
+    for attr, freq in (
+        ("core_clock", params.core_freq_mhz),
+        ("mesh_clock", params.mesh_freq_mhz),
+        ("mem_clock", params.mem_freq_mhz),
+    ):
+        clock = getattr(params, attr)
+        assert getattr(params, attr) is clock
+        assert clock == Clock(freq)
+        assert clock.period_ns == 1000.0 / freq
+    faster = dataclasses.replace(params, core_freq_mhz=800.0)
+    assert faster.core_clock == Clock(800.0)
+    assert faster.mesh_clock == params.mesh_clock
+    # the cached clocks are not fields: equality, hashing and pickling
+    # still key on the parameter values alone.
+    assert faster != params
+    assert SCCParams() == params and hash(SCCParams()) == hash(params)
+    assert "clock" not in repr(params)
+    restored = pickle.loads(pickle.dumps(params))
+    assert restored == params and restored.core_clock == params.core_clock

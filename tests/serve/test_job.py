@@ -96,6 +96,39 @@ class TestExecuteJob:
         assert out["metrics"]
         assert events[-1]["type"] == "metrics"
 
+    @pytest.mark.parametrize(
+        "workload, params",
+        [
+            ("spin", {"steps": 16}),
+            ("pingpong", {"sizes": (256, 16384), "ranks": (0, 48)}),
+            ("allreduce", {"nranks": 4, "length": 64}),
+            ("bt", {"nranks": 4}),
+            ("rpc", {"nranks": 2, "calls_per_rank": 4}),
+        ],
+    )
+    def test_metrics_are_the_finished_systems_snapshot(
+        self, monkeypatch, workload, params
+    ):
+        from repro.vscc import system as system_module
+
+        built = []
+
+        class Recording(system_module.VSCCSystem):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(system_module, "VSCCSystem", Recording)
+        out = execute_job(JobSpec(workload=workload, params=params, num_devices=2))
+        (system,) = built
+        assert out["metrics"] == {
+            str(k): float(v) for k, v in system.metrics.items()
+        }
+
+    def test_every_workload_covered_by_the_metrics_check(self):
+        covered = {"spin", "pingpong", "allreduce", "bt", "rpc"}
+        assert set(workload_names()) - {"deadlock"} == covered
+
     def test_deterministic_across_calls(self):
         spec = JobSpec(
             workload="pingpong",
