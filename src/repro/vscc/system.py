@@ -178,10 +178,12 @@ class VSCCSystem:
             host.sched_coalesce = policy.coalesce_vdma
         # §3.1: every rank registers its buffer/flag regions with the
         # task — with *every* host, so cross-host sends can classify a
-        # foreign target address without a directory round trip.
-        for host in self.hosts:
-            for device in self.devices:
-                for core in device.available_cores:
+        # foreign target address without a directory round trip. Hosts
+        # innermost: each host still registers in device/core order, and
+        # the cached region pair is reused while it is fresh.
+        for device in self.devices:
+            for core in device.available_cores:
+                for host in self.hosts:
                     host.register_rank_regions(device.device_id, core)
         self.config = SccConfigFile.from_devices(self.devices)
         self.layout = RankLayout.from_config(self.config, core_order)
