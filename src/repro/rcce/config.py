@@ -110,9 +110,12 @@ class RankLayout:
         return len(self._placements)
 
     def placement(self, rank: int) -> tuple[int, int]:
-        if not 0 <= rank < self.num_ranks:
-            raise ValueError(f"rank {rank} out of range 0..{self.num_ranks - 1}")
-        return self._placements[rank]
+        # Hot: called on every RCCE transfer. The list index is already
+        # O(1); the range check avoids the num_ranks property call.
+        placements = self._placements
+        if not 0 <= rank < len(placements):
+            raise ValueError(f"rank {rank} out of range 0..{len(placements) - 1}")
+        return placements[rank]
 
     def rank_of(self, device: int, core: int) -> int:
         try:

@@ -252,8 +252,13 @@ class Process:
         return self.done.value
 
     def _step(self, payload: Any) -> None:
-        """Advance the generator by one yield."""
-        sim = self.sim
+        """Advance the generator by one yield.
+
+        The kernel loop resumes a ``None`` payload itself and handles a
+        non-negative ``float`` yield in place (``SerialKernel.loop``);
+        every other resume comes here, and every other yield goes
+        through :meth:`_dispatch`.
+        """
         self._waiting_on = None
         try:
             cls = payload.__class__
@@ -267,7 +272,7 @@ class Process:
                 chain = payload.chain
                 index = payload.index
                 nxt = index + 1
-                sim._schedule(
+                self.sim._schedule(
                     chain[index],
                     self,
                     _Chain(chain, nxt) if nxt < len(chain) else None,
@@ -278,19 +283,37 @@ class Process:
             else:
                 command = self.gen.send(payload)
         except StopIteration as stop:
-            self.done.trigger(stop.value)
-            sim._live_processes.discard(self)
+            self._stopped(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - must capture sim faults
-            self._failure = exc
-            sim._live_processes.discard(self)
-            sim._failures.append(self)
-            # Wake waiters with the failure so it propagates.
-            self.done.trigger(_Throw(ProcessFailed(self.name, exc)))
-            if sim.fail_fast:
-                raise ProcessFailed(self.name, exc) from exc
+            self._failed(exc)
             return
+        self._dispatch(command)
 
+    def _stopped(self, value: Any) -> None:
+        """The generator returned ``value``: wake every waiter with it."""
+        self.done.trigger(value)
+        self.sim._live_processes.discard(self)
+
+    def _failed(self, exc: BaseException) -> None:
+        """The generator raised ``exc``: record it and wake the waiters.
+
+        Called from inside the ``except`` block that caught ``exc``, so
+        under ``fail_fast`` the :class:`ProcessFailed` carries it as its
+        cause.
+        """
+        sim = self.sim
+        self._failure = exc
+        sim._live_processes.discard(self)
+        sim._failures.append(self)
+        # Wake waiters with the failure so it propagates.
+        self.done.trigger(_Throw(ProcessFailed(self.name, exc)))
+        if sim.fail_fast:
+            raise ProcessFailed(self.name, exc) from exc
+
+    def _dispatch(self, command: Any) -> None:
+        """Act on a yielded command: schedule or park the process."""
+        sim = self.sim
         kind = _YIELD_KINDS.get(command.__class__)
         if kind is None:
             kind = _resolve_yield_kind(command)
@@ -460,7 +483,7 @@ class _CallbackTimer:
     """A one-shot timer entry without generator machinery.
 
     The fused :meth:`Simulator.call_at` path queues these directly: the
-    dispatch loops treat them like processes (same ``done``-staleness
+    dispatch loop treats them like processes (same ``done``-staleness
     check, same source attribution), but firing is a single call — no
     generator, no Event, no live-set bookkeeping. Not cancellable; the
     cancellable :meth:`Simulator.after` keeps the full process path.
@@ -539,7 +562,7 @@ class Simulator:
         self.fail_fast = fail_fast
         #: The event queue (heap + zero-delay fast lane).
         self.kernel = SerialKernel(self)
-        #: Hot-path alias: Event.trigger / Signal.pulse / Process._step
+        #: Hot-path alias: Event.trigger / Signal.pulse / Process._dispatch
         #: call ``sim._schedule`` directly, which resolves to the bound
         #: kernel method with no extra indirection.
         self._schedule = self.kernel.schedule

@@ -3,9 +3,13 @@
 :class:`repro.sim.engine.Simulator` owns processes, events and the run
 API; :class:`SerialKernel` holds the pending wake-ups and dispatches
 them in global ``(time, seq)`` order: one binary heap for delayed
-wake-ups merged with one FIFO fast lane for zero-delay wake-ups. Every
-checked-in fingerprint was produced by this loop. Why there is no
-parallel backend is recorded in DESIGN.md §11.
+wake-ups merged with one FIFO fast lane for zero-delay wake-ups. The
+loop resumes a payload-free process and schedules the ``float`` it
+yields in place, and carries that wake-up straight to the next dispatch
+when it is strictly earliest (DESIGN.md §7); everything else goes
+through ``Process._step``. Every checked-in fingerprint was produced by
+this loop. Why there is no parallel backend is recorded in DESIGN.md
+§11.
 """
 
 from __future__ import annotations
@@ -61,6 +65,9 @@ class SerialKernel:
         #: Kernel wake-ups saved by delay fusion (chain elements folded
         #: into their chain's single wake-up, len(chain)-1 per chain).
         self.fused_yields = 0
+        #: Wake-ups the dispatch loop carried straight to the next
+        #: dispatch instead of pushing and popping them (see ``loop``).
+        self.heap_bypass = 0
         # Event-source attribution: process names are normalized to a
         # small label set at spawn ("rank-17" -> "rank") and interned to
         # an index, so the dispatch loop pays one list-index increment
@@ -121,48 +128,100 @@ class SerialKernel:
         Dispatches until a boundary is hit: ``stop[0]`` set by a
         callback, the next event lying past ``until``, ``max_events``
         dispatched, or both queues drained.
+
+        The common resume is inlined: a :class:`Process` woken with no
+        payload is sent ``None`` here, and a non-negative ``float`` it
+        yields is scheduled here. When that wake-up is strictly earlier
+        than everything queued, it is *carried* as the next dispatch
+        instead of going through the heap. Its seq is the largest
+        issued, so it is the global ``(time, seq)`` minimum exactly
+        when no queued entry has an equal or earlier time; on a tie the
+        queued entry wins, as it would in the heap. Every exit pushes a
+        carried entry back. Everything else goes through
+        ``Process._step``.
         """
+        from .engine import Process  # engine imports this module
+
         sim = self.sim
         queue = self._queue
         fast = self._fast
         pop = heapq.heappop
+        push = heapq.heappush
         sources = self._source_events
         events = 0
-        while True:
-            if stop is not None and stop[0]:
-                return STOPPED
-            if fast:
-                if queue and queue[0] < fast[0]:
-                    entry = queue[0]
-                    from_heap = True
+        carry = None
+        bypass = 0
+        try:
+            while True:
+                if stop is not None and stop[0]:
+                    return STOPPED
+                if carry is not None:
+                    entry = carry
+                    if until is not None and entry[0] > until:
+                        return PAST_UNTIL
+                    carry = None
                 else:
-                    entry = fast[0]
-                    from_heap = False
-            elif queue:
-                entry = queue[0]
-                from_heap = True
-            else:
-                return DRAINED
-            if until is not None and entry[0] > until:
-                return PAST_UNTIL
-            if from_heap:
-                pop(queue)
-            else:
-                fast.popleft()
-            proc = entry[2]
-            if proc.done._triggered:
-                continue  # stale wake-up for an already-finished process
-            sim.now = entry[0]
-            proc._step(entry[3])
-            sim.events_processed += 1
-            sources[proc._source] += 1
-            if max_events is not None:
-                events += 1
-                if events >= max_events:
-                    return MAX_EVENTS
+                    if fast:
+                        if queue and queue[0] < fast[0]:
+                            entry = queue[0]
+                            from_heap = True
+                        else:
+                            entry = fast[0]
+                            from_heap = False
+                    elif queue:
+                        entry = queue[0]
+                        from_heap = True
+                    else:
+                        return DRAINED
+                    if until is not None and entry[0] > until:
+                        return PAST_UNTIL
+                    if from_heap:
+                        pop(queue)
+                    else:
+                        fast.popleft()
+                proc = entry[2]
+                if proc.done._triggered:
+                    continue  # stale wake-up for an already-finished process
+                now = sim.now = entry[0]
+                if entry[3] is None and proc.__class__ is Process:
+                    proc._waiting_on = None
+                    try:
+                        command = proc.gen.send(None)
+                    except StopIteration as exc:
+                        proc._stopped(exc.value)
+                    except BaseException as exc:  # noqa: BLE001 - sim faults
+                        proc._failed(exc)
+                    else:
+                        if command.__class__ is float and command >= 0.0:
+                            self._seq = seq = self._seq + 1
+                            t = now + command
+                            if not fast and (not queue or t < queue[0][0]):
+                                carry = (t, seq, proc, None)
+                                bypass += 1
+                            elif command == 0.0:
+                                fast.append((t, seq, proc, None))
+                            else:
+                                push(queue, (t, seq, proc, None))
+                        else:
+                            proc._dispatch(command)
+                else:
+                    proc._step(entry[3])
+                sim.events_processed += 1
+                sources[proc._source] += 1
+                if max_events is not None:
+                    events += 1
+                    if events >= max_events:
+                        return MAX_EVENTS
+        finally:
+            if carry is not None:
+                push(queue, carry)
+            self.heap_bypass += bypass
 
     def metrics_snapshot(self) -> dict[str, float]:
-        snap = {"kernel.fused_yields": float(self.fused_yields)}
+        snap = {
+            "kernel.fused_yields": float(self.fused_yields),
+            "kernel.heap_bypass": float(self.heap_bypass),
+        }
         names = self._source_names
         for idx, count in enumerate(self._source_events):
             if count:

@@ -42,6 +42,13 @@ def test_linear_rank_mapping_across_devices():
     assert layout.rank_of(1, 5) == 53
 
 
+@pytest.mark.parametrize("rank", [-1, 96, 1000])
+def test_placement_rejects_out_of_range_ranks(rank):
+    layout = RankLayout.from_config(make_config(range(48), range(48)))
+    with pytest.raises(ValueError, match=r"out of range 0\.\.95"):
+        layout.placement(rank)
+
+
 def test_descending_core_order():
     """The SCC quirk: cores sorted descending by id (§3)."""
     layout = RankLayout.from_config(make_config(range(4)), order="descending")

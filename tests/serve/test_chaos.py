@@ -19,8 +19,11 @@ from repro.serve import JobSpec, SimService
 
 from .conftest import run_async
 
-# ~0.5 s of wall work per attempt on this container: long enough to be
-# killed mid-run reliably, short enough to retry several times.
+# 800k events per attempt with a progress event every 50k: sixteen
+# chunks, short enough to retry several times. The single-kill tests
+# kill on an attempt's first progress event, which proves the attempt
+# is mid-run with fifteen chunks still to go, however fast the kernel
+# dispatches.
 MEDIUM_SPIN = {"steps": 800_000, "step_ns": 10.0}
 
 
@@ -36,12 +39,25 @@ async def wait_started(handle):
             return event
 
 
+async def wait_mid_run(handle, attempt=1):
+    """Return ``attempt``'s ``started`` event once its first ``progress``
+    event has arrived, i.e. once the attempt is known to be mid-run."""
+    started = None
+    async for event in handle.events():
+        if event["attempt"] != attempt:
+            continue
+        if event["type"] == "started":
+            started = event
+        elif event["type"] == "progress" and started is not None:
+            return started
+
+
 class TestSingleKill:
     def test_kill_mid_job_retries_to_completion(self):
         async def scenario():
             async with SimService(workers=1, pool="process") as service:
                 handle = await service.submit(spec())
-                started = await wait_started(handle)
+                started = await wait_mid_run(handle)
                 service.chaos_kill_worker(int(started["worker"]))
                 result = await handle.result(timeout=60)
                 assert result.ok
@@ -57,11 +73,10 @@ class TestSingleKill:
         async def scenario():
             async with SimService(workers=1, pool="process") as service:
                 handle = await service.submit(spec(max_attempts=2))
-                await wait_started(handle)
+                await wait_mid_run(handle)
                 service.chaos_kill_worker(0)
-                # second attempt: wait for its start, kill again
-                while service.core.jobs[handle.job_id].attempts < 2:
-                    await asyncio.sleep(0.05)
+                # second attempt: wait until it is mid-run, kill again
+                await wait_mid_run(handle, attempt=2)
                 service.chaos_kill_worker(0)
                 result = await handle.result(timeout=60)
                 assert result.state == "failed"
