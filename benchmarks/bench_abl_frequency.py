@@ -10,8 +10,8 @@ reports core frequency prominently.
 
 from repro.apps.pingpong import run_pingpong
 from repro.bench import format_table
-from repro.rcce.session import RcceSession
 from repro.scc.power import GLOBAL_CLOCK_MHZ
+from repro.vscc.system import VSCCSystem
 
 from conftest import record
 
@@ -20,17 +20,17 @@ SIZE = 65536
 
 
 def _throughput(divider: int) -> float:
-    session = RcceSession()
-    device = session.device
+    system = VSCCSystem(num_devices=1)
+    device = system.devices[0]
     tiles = {device.core(0).tile, device.core(10).tile}
 
     def reclock():
         for tile in tiles:
             yield from device.power.set_frequency(0, tile, divider)
 
-    session.sim.spawn(reclock())
-    session.sim.run()
-    [point] = run_pingpong(session, 0, 10, sizes=[SIZE], iterations=3)
+    system.sim.spawn(reclock())
+    system.sim.run()
+    [point] = run_pingpong(system, 0, 10, sizes=[SIZE], iterations=3)
     return point.throughput_mbps
 
 

@@ -10,7 +10,7 @@ there is no room for anything larger (two slots must fit).
 from repro.apps.pingpong import run_pingpong
 from repro.bench import format_table
 from repro.rcce.api import RcceOptions
-from repro.rcce.session import RcceSession
+from repro.vscc.system import VSCCSystem
 
 from conftest import record
 
@@ -19,10 +19,10 @@ SIZE = 262144
 
 
 def _throughput(packet: int) -> float:
-    session = RcceSession(
-        options=RcceOptions(pipelined=True, pipeline_packet=packet)
+    system = VSCCSystem(
+        num_devices=1, options=RcceOptions(pipelined=True, pipeline_packet=packet)
     )
-    [point] = run_pingpong(session, 0, 10, sizes=[SIZE], iterations=4)
+    [point] = run_pingpong(system, 0, 10, sizes=[SIZE], iterations=4)
     return point.throughput_mbps
 
 

@@ -132,10 +132,10 @@ def flag_wait_churn(nrounds: int = 400) -> dict:
     dominates the RCCE transports.
     """
     from repro.rcce.flags import FlagLayout
-    from repro.rcce.session import RcceSession
+    from repro.vscc.system import VSCCSystem
 
-    session = RcceSession()
-    fl = session.flags
+    system = VSCCSystem(num_devices=1)
+    fl = system.flags
     ping = fl.sent(1, 0)  # in rank 1's SF, written by rank 0
     pong = fl.sent(0, 1)  # in rank 0's SF, written by rank 1
 
@@ -155,9 +155,9 @@ def flag_wait_churn(nrounds: int = 400) -> dict:
             yield from env.wait_flag(ping, seq)
             yield from env.set_flag(pong, seq)
 
-    sim = session.sim
-    sim.spawn(rank0(session.comm_for(0)), name="rank0")
-    sim.spawn(rank1(session.comm_for(1)), name="rank1")
+    sim = system.sim
+    sim.spawn(rank0(system.comm_for(0)), name="rank0")
+    sim.spawn(rank1(system.comm_for(1)), name="rank1")
     sim.run()
     return {
         "ops": 2 * nrounds,
@@ -176,9 +176,9 @@ def chunk_send_churn(nmsgs: int = 48, nbytes: int = 4096) -> dict:
     """
     import numpy as np
 
-    from repro.rcce.session import RcceSession
+    from repro.vscc.system import VSCCSystem
 
-    session = RcceSession()
+    system = VSCCSystem(num_devices=1)
     payload = (np.arange(nbytes, dtype=np.int64) % 251).astype(np.uint8)
     checksums: list[int] = []
 
@@ -191,9 +191,9 @@ def chunk_send_churn(nmsgs: int = 48, nbytes: int = 4096) -> dict:
             data = yield from comm.recv(nbytes, src=0)
             checksums.append(int(data[::97].sum()))
 
-    sim = session.sim
-    sim.spawn(sender(session.comm_for(0)), name="rank0")
-    sim.spawn(receiver(session.comm_for(1)), name="rank1")
+    sim = system.sim
+    sim.spawn(sender(system.comm_for(0)), name="rank0")
+    sim.spawn(receiver(system.comm_for(1)), name="rank1")
     sim.run()
     return {
         "ops": nmsgs,

@@ -86,26 +86,23 @@ def fig6b_interdevice() -> dict:
 
 
 def fig7_bt() -> dict:
-    """NPB BT (class S, 64 ranks, vDMA scheme) on the five-device system."""
+    """NPB BT (class S, 64 ranks, vDMA scheme) on the five-device system.
+
+    The same run is Fig 8's traffic-matrix slice (64 ranks fill devices
+    0 and 1), so its fingerprint pins the traffic totals too.
+    """
     from repro.apps.npb import BTBenchmark
+    from repro.apps.traffic import traffic_matrix, traffic_stats
     from repro.vscc.schemes import CommScheme
     from repro.vscc.system import VSCCSystem
 
     bench = BTBenchmark(clazz="S", nranks=64, niter=1, mode="model")
     system = VSCCSystem(num_devices=5, scheme=CommScheme.LOCAL_PUT_LOCAL_GET_VDMA)
     system.run(bench.program, ranks=range(64))
+    stats = traffic_stats(traffic_matrix(system.layout), system.layout)
     return {
         "sim_now_ns": system.sim.now,
         "events": system.sim.events_processed,
-    }
-
-
-def fig8_traffic() -> dict:
-    """BT traffic-matrix slice (Fig 8): 64 ranks over two devices."""
-    from repro.bench import fig8_bt_traffic
-
-    _matrix, stats, _rendering, _scaled = fig8_bt_traffic(64, "S", 1, 2)
-    return {
         "total_bytes": float(stats.total_bytes),
         "max_pair_bytes": float(stats.max_pair_bytes),
     }
@@ -319,7 +316,6 @@ SCENARIOS = {
     "fig6a_pingpong": fig6a_pingpong,
     "fig6b_interdevice": fig6b_interdevice,
     "fig7_bt": fig7_bt,
-    "fig8_traffic": fig8_traffic,
     "policy_threshold_mixed": policy_threshold_mixed,
     "coll_hier_allreduce": coll_hier_allreduce,
     "fabric_multihost": fabric_multihost,

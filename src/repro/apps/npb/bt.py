@@ -48,10 +48,6 @@ class BTResult:
     gflops_per_s: float
     verified: bool
 
-    @property
-    def mflops_per_rank(self) -> float:
-        return self.gflops_per_s * 1000.0 / self.nranks
-
 
 class BTBenchmark:
     """One configured BT run; spawn with ``session.run(bench.program)``."""
@@ -206,7 +202,3 @@ class BTBenchmark:
             gflops_per_s=total_gflops / seconds if seconds else 0.0,
             verified=verified,
         )
-
-
-def comm_cost(bench: BTBenchmark) -> BTCostModel:
-    return bench.cost

@@ -88,9 +88,9 @@ def run_pingpong(
 ) -> list[PingPongPoint]:
     """Run the sweep between two ranks of a session.
 
-    ``session`` is any object with ``run(program, ranks=...)`` —
-    a :class:`repro.rcce.session.RcceSession` or a
-    :class:`repro.vscc.system.VSCCSystem`.
+    ``session`` is any object with ``run(program, ranks=...)``, usually
+    a :class:`repro.vscc.system.VSCCSystem` (one device for the on-chip
+    curves).
     """
     if rank_a == rank_b:
         raise ValueError("ping-pong needs two distinct ranks")

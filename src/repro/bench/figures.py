@@ -18,7 +18,6 @@ from repro.apps.pingpong import PingPongPoint, run_pingpong
 from repro.apps.traffic import TrafficStats, render_traffic, traffic_matrix, traffic_stats
 from repro.host.pcie import PCIeParams
 from repro.rcce.api import RcceOptions
-from repro.rcce.session import RcceSession
 from repro.scc.params import SCCParams
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
@@ -69,8 +68,9 @@ class ProtocolTiming:
 
 def fig2_trace(size: int, pipelined: bool):
     """Protocol trace records for one message transfer (Fig 2's Gantt)."""
-    session = RcceSession(options=RcceOptions(pipelined=pipelined))
-    session.device.tracer.enable("protocol")
+    system = VSCCSystem(num_devices=1, options=RcceOptions(pipelined=pipelined))
+    tracer = system.devices[0].tracer
+    tracer.enable("protocol")
 
     def program(comm):
         payload = bytes(size)
@@ -79,8 +79,8 @@ def fig2_trace(size: int, pipelined: bool):
         elif comm.rank == ONCHIP_PAIR[1]:
             yield from comm.recv(size, ONCHIP_PAIR[0])
 
-    session.run(program, ranks=list(ONCHIP_PAIR))
-    return [r for r in session.device.tracer.records if r.category == "protocol"]
+    system.run(program, ranks=list(ONCHIP_PAIR))
+    return [r for r in tracer.records if r.category == "protocol"]
 
 
 def fig2_protocol_timeline(sizes: Sequence[int] = (8192, 16384, 65536)) -> list[ProtocolTiming]:
@@ -90,9 +90,11 @@ def fig2_protocol_timeline(sizes: Sequence[int] = (8192, 16384, 65536)) -> list[
     for size in sizes:
         times = {}
         for pipelined in (False, True):
-            session = RcceSession(options=RcceOptions(pipelined=pipelined))
+            system = VSCCSystem(
+                num_devices=1, options=RcceOptions(pipelined=pipelined)
+            )
             [point] = run_pingpong(
-                session, *ONCHIP_PAIR, sizes=[size], iterations=4, warmup=1
+                system, *ONCHIP_PAIR, sizes=[size], iterations=4, warmup=1
             )
             times[pipelined] = point.oneway_ns
         out.append(ProtocolTiming(size, times[False], times[True]))
@@ -110,9 +112,11 @@ def fig6a_onchip(
     """On-chip curves: RCCE default vs iRCCE pipelined (4 kB threshold)."""
     series = {}
     for label, pipelined in (("RCCE (no pipelining)", False), ("iRCCE pipelined", True)):
-        session = RcceSession(params=params, options=RcceOptions(pipelined=pipelined))
+        system = VSCCSystem(
+            num_devices=1, params=params, options=RcceOptions(pipelined=pipelined)
+        )
         series[label] = run_pingpong(
-            session, *ONCHIP_PAIR, sizes=sizes, iterations=iterations
+            system, *ONCHIP_PAIR, sizes=sizes, iterations=iterations
         )
     return series
 

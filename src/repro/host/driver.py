@@ -25,7 +25,6 @@ the inter-host link first.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -161,12 +160,6 @@ class Host:
             return cable
         return self.host_for(device_id).cables[device_id]
 
-    def dma_of(self, device_id: int) -> DMAEngine:
-        dma = self.dmas.get(device_id)
-        if dma is not None:
-            return dma
-        return self.host_for(device_id).dmas[device_id]
-
     def task_of(self, device_id: int) -> CommunicationTask:
         task = self.tasks.get(device_id)
         if task is not None:
@@ -264,18 +257,3 @@ class Host:
         parts.extend(vdma.metrics_snapshot() for vdma in self.vdma.values())
         parts.append(self.cache.metrics_snapshot())
         return merge_snapshots(parts)
-
-    def pcie_bytes(self) -> dict[int, tuple[int, int]]:
-        """Deprecated: read ``metrics_snapshot()`` series
-        ``pcie.bytes{device=<id>,dir=up|down}`` instead."""
-        warnings.warn(
-            "Host.pcie_bytes() is deprecated; use Host.metrics_snapshot() "
-            "(series pcie.bytes{device=<id>,dir=up|down}) or "
-            "VSCCSystem.metrics",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {
-            dev_id: (cable.bytes_up, cable.bytes_down)
-            for dev_id, cable in self.cables.items()
-        }

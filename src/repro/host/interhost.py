@@ -124,7 +124,6 @@ class HostCluster:
         self.sim = sim
         self.params = params or InterHostParams()
         self.hosts = list(hosts)
-        self._by_id = {h.host_id: h for h in hosts}
         self._device_host: dict[int, "Host"] = {}
         for host in hosts:
             for device_id in host.devices:
@@ -147,9 +146,6 @@ class HostCluster:
     @property
     def num_hosts(self) -> int:
         return len(self.hosts)
-
-    def host_by_id(self, host_id: int) -> "Host":
-        return self._by_id[host_id]
 
     def host_for(self, device_id: int) -> "Host":
         """The host a (possibly foreign) device hangs off."""

@@ -11,7 +11,7 @@ from .config import RankLayout, SccConfigFile
 from .flags import FlagLayout, MAX_RANKS, SEQ_MOD
 from .gory import Gory
 from .malloc import MpbAllocator, OutOfMpbError
-from .transport import DefaultGetTransport, OnChipSelector, Transport, TransportSelector
+from .transport import DefaultGetTransport, Transport, TransportSelector
 
 __all__ = [
     "DefaultGetTransport",
@@ -19,7 +19,6 @@ __all__ = [
     "Gory",
     "MAX_RANKS",
     "MpbAllocator",
-    "OnChipSelector",
     "OutOfMpbError",
     "RankLayout",
     "Rcce",

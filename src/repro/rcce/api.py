@@ -3,7 +3,9 @@
 A :class:`Rcce` instance is one rank's view of the session — bound to a
 core's :class:`~repro.scc.core.CoreEnv`, a shared
 :class:`~repro.rcce.config.RankLayout` and a
-:class:`~repro.rcce.transport.TransportSelector`. Application programs
+:class:`~repro.rcce.transport.TransportSelector`; one-device and
+multi-device sessions alike get theirs from
+:meth:`repro.vscc.system.VSCCSystem.comm_for`. Application programs
 are generators that receive their ``Rcce`` and ``yield from`` its
 operations::
 
@@ -20,7 +22,7 @@ one-sided layer is reachable through :attr:`gory`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Generator, Iterator, Optional, Union
 
 import numpy as np
 
@@ -35,6 +37,9 @@ from .flags import FlagLayout
 from .gory import Gory
 from .malloc import MpbAllocator
 from .transport import TransportSelector
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.vscc.topology import FabricTopology
 
 __all__ = ["RcceOptions", "Rcce"]
 
@@ -68,18 +73,21 @@ class Rcce:
         self,
         env: CoreEnv,
         layout: RankLayout,
-        options: Optional[RcceOptions] = None,
-        selector: Optional[TransportSelector] = None,
-        flags: Optional[FlagLayout] = None,
+        *,
+        options: RcceOptions,
+        selector: TransportSelector,
+        flags: FlagLayout,
+        topology: "FabricTopology",
     ):
-        from .transport import OnChipSelector  # avoid import cycle at module load
-
         self.env = env
         self.layout = layout
-        self.options = options or RcceOptions()
+        self.options = options
         self.rank = layout.rank_of(env.device.device_id, env.core_id)
-        self.flags = flags or FlagLayout(layout, env.params)
-        self.selector = selector or OnChipSelector(self.options)
+        self.flags = flags
+        self.selector = selector
+        #: Coordinate queries over the rank layout (the system's topology,
+        #: host tier included), read by the hierarchical collectives.
+        self.topology = topology
 
         payload = env.params.mpb_payload_bytes
         user = -(-self.options.user_mpb_bytes // CACHE_LINE) * CACHE_LINE
@@ -96,7 +104,6 @@ class Rcce:
         self._seq: dict[tuple[int, int], int] = {}
         self.sends = 0
         self.recvs = 0
-        self._topology = None
         self._obs = None  # lazily resolved metrics registry
         self._coll_seq = 0  # per-rank collective call counter (trace spans)
 
@@ -108,21 +115,6 @@ class Rcce:
     @property
     def num_ranks(self) -> int:
         return self.layout.num_ranks
-
-    @property
-    def topology(self):
-        """Coordinate queries over this session's rank layout.
-
-        Lazily built (:class:`repro.vscc.topology.VsccTopology` imports
-        at first use to avoid a module cycle); single-device sessions
-        get a topology whose z dimension is a single plane.
-        """
-        topo = self._topology
-        if topo is None:
-            from repro.vscc.topology import VsccTopology
-
-            topo = self._topology = VsccTopology(self.layout, self.env.params)
-        return topo
 
     def comm_buffer_addr(self, rank: int, offset: int = 0) -> MpbAddr:
         """Address of a rank's communication buffer (chunk staging area)."""

@@ -108,13 +108,6 @@ def _resolve(comm: "Rcce", group_size: Optional[int], members) -> tuple[int, int
     return comm.rank, n, list(range(n))
 
 
-def _group(comm: "Rcce", group_size: Optional[int]) -> int:
-    n = group_size or comm.num_ranks
-    if comm.rank >= n:
-        raise ValueError(f"rank {comm.rank} outside the collective group of {n}")
-    return n
-
-
 def reduction_dtype(values) -> np.dtype:
     """The dtype a reduction runs in: ndarray inputs keep their dtype
     (so integer reductions stay exact and bitwise-reproducible);

@@ -23,7 +23,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .api import Rcce
 
-__all__ = ["Transport", "TransportSelector", "DefaultGetTransport", "OnChipSelector"]
+__all__ = ["Transport", "TransportSelector", "DefaultGetTransport"]
 
 
 class Transport(abc.ABC):
@@ -169,37 +169,3 @@ class DefaultGetTransport(Transport):
                     trace.emit(env.sim.now, "protocol", me, "recv", "get_done", index)
             yield from env.set_flag(ready_flag, ack)
         return out
-
-
-class OnChipSelector(TransportSelector):
-    """Selector for single-device sessions (plain RCCE / iRCCE).
-
-    Uses the default protocol, switching to the pipelined iRCCE protocol
-    above the 4 kB threshold when the session was configured with
-    ``pipelined=True``.
-    """
-
-    def __init__(self, options) -> None:
-        from repro.ircce.pipeline import PipelinedTransport  # local import: cycle
-
-        self.options = options
-        self._default = DefaultGetTransport()
-        self._pipelined = PipelinedTransport(packet_bytes=options.pipeline_packet)
-
-    def select(
-        self,
-        comm: "Rcce",
-        peer: int,
-        nbytes: int,
-        op: str = "send",
-        probe: bool = False,
-    ) -> Transport:
-        if not comm.layout.same_device(comm.rank, peer):
-            raise RuntimeError(
-                "this session spans multiple devices but was built with the "
-                "on-chip selector; use repro.vscc.VSCCSystem for a scheme-aware "
-                "selector"
-            )
-        if self.options.pipelined and nbytes > self.options.pipeline_threshold:
-            return self._pipelined
-        return self._default

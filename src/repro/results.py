@@ -1,11 +1,10 @@
-"""The run-result surface shared by every session façade.
+"""The run-result surface of the session façade.
 
-:class:`RunResult` is what ``VSCCSystem.run()`` and ``RcceSession.run()``
-return — the ``run() -> RunResult`` API that replaced the historic
-``launch() -> dict`` surface. It lives in its own dependency-free module
-so both the multi-device system layer (:mod:`repro.vscc.system`) and the
-single-device session layer (:mod:`repro.rcce.session`) can return the
-same type without a layering cycle.
+:class:`RunResult` is what ``VSCCSystem.run()`` returns — the
+``run() -> RunResult`` API that replaced the historic ``launch() -> dict``
+surface. It lives in its own dependency-free module, next to the
+service layer's :class:`JobResult`, so :mod:`repro.vscc.system` and
+:mod:`repro.serve` import their result types without a layering cycle.
 """
 
 from __future__ import annotations
@@ -89,35 +88,6 @@ class JobResult:
     @property
     def ok(self) -> bool:
         return self.state == "completed"
-
-    @classmethod
-    def from_run(
-        cls,
-        *,
-        job_id: str,
-        tenant: str,
-        run: RunResult,
-        sim_now_ns: float,
-        events: float,
-        attempts: int = 1,
-        queue_wait_s: float = 0.0,
-        run_s: float = 0.0,
-    ) -> "JobResult":
-        """Wrap a completed :class:`RunResult` (in-process convenience)."""
-        return cls(
-            job_id=job_id,
-            tenant=tenant,
-            state="completed",
-            attempts=attempts,
-            sim_now_ns=sim_now_ns,
-            events=float(events),
-            elapsed_ns=run.elapsed_ns,
-            core_cycles=run.core_cycles,
-            degraded_devices=tuple(run.degraded_devices),
-            metrics={k: float(v) for k, v in run.metrics.items()},
-            queue_wait_s=queue_wait_s,
-            run_s=run_s,
-        )
 
     def to_dict(self) -> dict:
         """JSON-ready mapping (the ``job_result`` schema payload)."""

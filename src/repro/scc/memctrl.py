@@ -17,7 +17,6 @@ cannot express.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING
 
 from repro.obs.metrics import registry_for
@@ -101,13 +100,3 @@ class MemoryControllers:
         for i, link in enumerate(self.links):
             snap[f"memctrl.bytes{{mc={i}}}"] = float(link.bytes_carried)
         return snap
-
-    def bytes_served(self) -> list[int]:
-        """Deprecated: read ``metrics_snapshot()['memctrl.bytes{mc=i}']``."""
-        warnings.warn(
-            "MemoryControllers.bytes_served() is deprecated; use "
-            "metrics_snapshot() (series memctrl.bytes{mc=i})",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return [link.bytes_carried for link in self.links]

@@ -54,9 +54,6 @@ class TestSetRegisters:
         self._held[target] = False
         self._released[target].pulse()
 
-    def is_held(self, target: int) -> bool:
-        return self._held[target]
-
     def released_signal(self, target: int) -> Signal:
         """Pulsed on release — lets waiters back off without busy loops."""
         return self._released[target]

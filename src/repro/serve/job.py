@@ -266,7 +266,8 @@ def _wl_rpc(system, params):
     report = run_rpc(system, calls, rpc_params)
     if report.completed != report.offered:
         raise JobError(
-            f"rpc job lost responses: {report.completed}/{report.offered}"
+            "RpcLostResponses",
+            f"rpc job lost responses: {report.completed}/{report.offered}",
         )
     return report.run
 

@@ -102,11 +102,6 @@ class Link:
         self.busy_ns += serialization
         return self._free_at + self.latency_ns
 
-    def arrival_after(self, nbytes: int) -> float:
-        """Predict arrival time without occupying the link (for planning)."""
-        start = max(self.sim.now, self._free_at)
-        return start + self.overhead_ns + nbytes / self.bandwidth_bpns + self.latency_ns
-
     # -- blocking transfer ---------------------------------------------------
 
     def transfer(self, nbytes: int, extra_overhead_ns: float = 0.0) -> Generator:
@@ -163,11 +158,6 @@ class Link:
             "link.transfers": float(self.transfers),
             "link.busy_ns": self.busy_ns,
         }
-
-    def reset_stats(self) -> None:
-        self.bytes_carried = 0
-        self.transfers = 0
-        self.busy_ns = 0.0
 
 
 class Mutex:

@@ -69,7 +69,8 @@ class VSCCSystem:
     communication tasks/cables/engines, and host-to-host traffic rides
     the :class:`~repro.host.interhost.InterHostLink` tier
     (``interhost_params``). Single-host systems build no cluster and are
-    bit-identical to the pre-fabric code.
+    bit-identical to the pre-fabric code. ``num_devices=1`` is a single
+    SCC: the on-chip RCCE/iRCCE sessions of Fig 6a.
     """
 
     def __init__(
@@ -242,11 +243,8 @@ class VSCCSystem:
                 options=self.options,
                 selector=self.selector,
                 flags=self.flags,
+                topology=self.topology,
             )
-            # Hand the communicator the system topology so hierarchical
-            # collectives see the host tier (the lazy default would build
-            # a single-host VsccTopology).
-            comm._topology = self.topology
             self._comms[rank] = comm
         return comm
 
@@ -306,23 +304,6 @@ class VSCCSystem:
             trace_path=trace_path,
             degraded_devices=() if injector is None else injector.degraded_devices,
         )
-
-    def launch(
-        self,
-        program: Callable[[Rcce], Generator],
-        ranks: Optional[Sequence[int]] = None,
-        until: Optional[float] = None,
-    ) -> dict[int, object]:
-        """Deprecated: use :meth:`run` and read ``RunResult.results``."""
-        import warnings
-
-        warnings.warn(
-            "VSCCSystem.launch() is deprecated and will be removed in "
-            "repro 1.2; use run() and read RunResult.results",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(program, ranks=ranks, until=until).results
 
     # -- stats ----------------------------------------------------------------------------
 

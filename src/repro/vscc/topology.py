@@ -25,7 +25,6 @@ configuration — every device on host 0) and preserves the historic
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -58,22 +57,6 @@ class FabricTopology:
         device, core = self.layout.placement(rank)
         x, y = self.params.core_xy(core)
         return (x, y, device, self.host_of(device))
-
-    def xyz(self, rank: int) -> tuple[int, int, int]:
-        """Deprecated: the historic (x, y, device) triple.
-
-        Ambiguous in the three-level (x, y, device, host) model — it
-        drops the host coordinate. Use :meth:`coords`.
-        """
-        warnings.warn(
-            "FabricTopology.xyz() is deprecated in the three-level "
-            "(x, y, device, host) fabric model; use coords(), which "
-            "includes the host coordinate",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        x, y, device, _host = self.coords(rank)
-        return (x, y, device)
 
     def device_of(self, rank: int) -> int:
         """The z coordinate of a rank (its global device number)."""

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.apps.npb import BTBenchmark, BTClass, adi_reference, initial_condition
-from repro.rcce.session import RcceSession
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.apps.npb import BTBenchmark, BT_CLASSES, BTCostModel
-from repro.rcce.session import RcceSession
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
 
@@ -30,7 +29,7 @@ def test_model_run_onchip(session):
 def test_scaling_improves_with_ranks():
     def gflops(nranks):
         bench = BTBenchmark(clazz="S", nranks=nranks, niter=1, mode="model")
-        session = RcceSession()
+        session = VSCCSystem(num_devices=1)
         session.run(bench.program, ranks=range(nranks))
         return bench.result().gflops_per_s
 
@@ -40,7 +39,7 @@ def test_scaling_improves_with_ranks():
 def test_compute_bound_limit():
     """One rank with no communication runs at the sustained rate."""
     bench = BTBenchmark(clazz="S", nranks=1, niter=2, mode="model")
-    session = RcceSession()
+    session = VSCCSystem(num_devices=1)
     session.run(bench.program, ranks=[0])
     result = bench.result()
     sustained = 0.533 * bench.cost.flops_per_cycle  # GFLOP/s per core
@@ -73,10 +72,8 @@ def test_unknown_mode_rejected():
 def test_message_counts_match_the_dataflow():
     """Per timestep each rank sends 6 face exchanges plus 2(p-1)
     boundary messages per sweep dimension."""
-    from repro.rcce.session import RcceSession
-
     bench = BTBenchmark(clazz="S", nranks=9, niter=1, mode="model")
-    session = RcceSession()
+    session = VSCCSystem(num_devices=1)
     session.run(bench.program, ranks=range(9))
     p = bench.part.p
     comm = session.comm_for(4)  # interior rank
@@ -87,16 +84,15 @@ def test_message_counts_match_the_dataflow():
 
 
 def test_traffic_volume_tracks_cost_model():
-    from repro.rcce.session import RcceSession
     from repro.apps.traffic import traffic_matrix
 
     bench = BTBenchmark(clazz="S", nranks=4, niter=2, mode="model")
-    session = RcceSession()
+    session = VSCCSystem(num_devices=1)
     session.run(bench.program, ranks=range(4))
     matrix = traffic_matrix(session.layout)
     # doubling the steps doubles the payload traffic (minus barriers)
     bench2 = BTBenchmark(clazz="S", nranks=4, niter=4, mode="model")
-    session2 = RcceSession()
+    session2 = VSCCSystem(num_devices=1)
     session2.run(bench2.program, ranks=range(4))
     matrix2 = traffic_matrix(session2.layout)
     ratio = matrix2.sum() / matrix.sum()

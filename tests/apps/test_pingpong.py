@@ -3,7 +3,6 @@
 import pytest
 
 from repro.apps.pingpong import PingPongPoint, run_pingpong
-from repro.rcce.session import RcceSession
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.apps.stencil import StencilConfig, jacobi_reference, run_stencil
-from repro.rcce.session import RcceSession
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
 

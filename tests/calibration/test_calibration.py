@@ -10,7 +10,6 @@ import pytest
 from repro.apps.pingpong import run_pingpong
 from repro.bench import PAPER_BANDS, fig6a_onchip, latency_anchors
 from repro.rcce.api import RcceOptions
-from repro.rcce.session import RcceSession
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
 
@@ -31,7 +30,7 @@ def xdev_peaks():
 def onchip_peaks():
     out = {}
     for pipelined in (False, True):
-        session = RcceSession(options=RcceOptions(pipelined=pipelined))
+        session = VSCCSystem(num_devices=1, options=RcceOptions(pipelined=pipelined))
         [point] = run_pingpong(session, 0, 10, sizes=[SIZE], iterations=4)
         out[pipelined] = point.throughput_mbps
     return out
@@ -94,7 +93,7 @@ def test_mpb_cliff_at_8kb():
     synchronization costs a full host round trip and the cliff is
     pronounced — except for the pipelined vDMA scheme (§4.1).
     """
-    session = RcceSession()
+    session = VSCCSystem(num_devices=1)
     points = run_pingpong(session, 0, 10, sizes=[7680, 8192], iterations=3)
     per_byte = [p.oneway_ns / p.size for p in points]
     assert per_byte[1] > per_byte[0]  # visible on-chip, if slight

@@ -6,7 +6,6 @@ import os
 
 import pytest
 
-from repro.rcce.session import RcceSession
 from repro.scc.chip import SCCDevice
 from repro.sim.engine import Simulator
 from repro.vscc.schemes import CommScheme
@@ -52,8 +51,8 @@ def device(sim) -> SCCDevice:
 
 
 @pytest.fixture
-def session() -> RcceSession:
-    return RcceSession()
+def session() -> VSCCSystem:
+    return VSCCSystem(num_devices=1)
 
 
 @pytest.fixture

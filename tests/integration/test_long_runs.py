@@ -3,7 +3,6 @@
 import numpy as np
 
 from repro.rcce.api import RcceOptions
-from repro.rcce.session import RcceSession
 from repro.vscc.schemes import CommScheme
 from repro.vscc.system import VSCCSystem
 
@@ -27,8 +26,8 @@ def test_300_messages_wrap_counters_onchip(session):
 
 def test_pipelined_message_with_thousands_of_packets():
     """A single message whose packet count exceeds the counter space."""
-    session = RcceSession(
-        options=RcceOptions(pipelined=True, pipeline_packet=64)
+    session = VSCCSystem(
+        num_devices=1, options=RcceOptions(pipelined=True, pipeline_packet=64)
     )
     size = 40000  # 625 packets of 64 B > 254
     payload = (np.arange(size) % 251).astype(np.uint8)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.ircce.nonblocking import irecv, isend, wait_all
-from repro.rcce.session import RcceSession
 
 
 def test_isend_irecv_roundtrip(session):

@@ -5,11 +5,13 @@ import pytest
 
 from repro.apps.pingpong import run_pingpong
 from repro.rcce.api import RcceOptions
-from repro.rcce.session import RcceSession
+from repro.vscc.system import VSCCSystem
 
 
 def make_session(packet=None):
-    return RcceSession(options=RcceOptions(pipelined=True, pipeline_packet=packet))
+    return VSCCSystem(
+        num_devices=1, options=RcceOptions(pipelined=True, pipeline_packet=packet)
+    )
 
 
 def test_data_integrity_across_packets():
@@ -29,14 +31,16 @@ def test_data_integrity_across_packets():
 
 
 def test_pipelined_faster_than_default_for_large_messages():
-    slow = run_pingpong(RcceSession(), 0, 10, sizes=[65536], iterations=3)[0]
+    onchip = VSCCSystem(num_devices=1)
+    slow = run_pingpong(onchip, 0, 10, sizes=[65536], iterations=3)[0]
     fast = run_pingpong(make_session(), 0, 10, sizes=[65536], iterations=3)[0]
     assert fast.throughput_mbps > slow.throughput_mbps * 1.2
 
 
 def test_small_messages_not_pipelined():
     """Below the 4 kB threshold both configurations behave identically."""
-    a = run_pingpong(RcceSession(), 0, 10, sizes=[2048], iterations=3)[0]
+    onchip = VSCCSystem(num_devices=1)
+    a = run_pingpong(onchip, 0, 10, sizes=[2048], iterations=3)[0]
     b = run_pingpong(make_session(), 0, 10, sizes=[2048], iterations=3)[0]
     assert a.oneway_ns == pytest.approx(b.oneway_ns)
 

@@ -286,14 +286,14 @@ def test_random_payload_crosses_devices_intact(size, scheme_value, seed):
 @settings(max_examples=10, deadline=None)
 def test_adi_always_bitwise_matches_reference(nranks, n, steps):
     from repro.apps.npb import BTBenchmark, BTClass, adi_reference, initial_condition
-    from repro.rcce.session import RcceSession
+    from repro.vscc.system import VSCCSystem
 
     if n < part_min(nranks) * 2:
         n = part_min(nranks) * 2
     bench = BTBenchmark(
         clazz=BTClass("mini", n, steps, 0.01), nranks=nranks, niter=steps, mode="adi"
     )
-    session = RcceSession()
+    session = VSCCSystem(num_devices=1)
     results = session.run(bench.program, ranks=range(nranks)).results
     part = bench.part
     full = np.zeros((n,) * 3)

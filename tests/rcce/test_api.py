@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.rcce.api import Rcce, RcceOptions
-from repro.rcce.session import RcceSession
+from repro.vscc.system import VSCCSystem
 
 
 def test_send_recv_roundtrip(session):
@@ -112,7 +112,7 @@ def test_bidirectional_concurrent_pairs(session):
 
 
 def test_user_mpb_area_reduces_comm_buffer():
-    session = RcceSession(options=RcceOptions(user_mpb_bytes=1024))
+    session = VSCCSystem(num_devices=1, options=RcceOptions(user_mpb_bytes=1024))
     comm = session.comm_for(0)
     assert comm.comm_buffer_bytes == 7680 - 1024
     offset = comm.malloc(100)

@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.rcce.session import RcceSession
-
 
 @pytest.fixture(params=[2, 5, 8, 13])
 def nranks(request):

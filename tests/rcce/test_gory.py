@@ -3,12 +3,12 @@
 import pytest
 
 from repro.rcce.api import RcceOptions
-from repro.rcce.session import RcceSession
+from repro.vscc.system import VSCCSystem
 
 
 @pytest.fixture
 def gory_session():
-    return RcceSession(options=RcceOptions(user_mpb_bytes=2048))
+    return VSCCSystem(num_devices=1, options=RcceOptions(user_mpb_bytes=2048))
 
 
 def test_put_get_with_flag_sync(gory_session):

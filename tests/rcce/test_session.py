@@ -1,8 +1,6 @@
-"""Unit tests for the single-device session."""
+"""Unit tests for the single-device session: ``VSCCSystem(num_devices=1)``."""
 
-import pytest
-
-from repro.rcce.session import RcceSession
+from repro.vscc.system import VSCCSystem
 
 
 def test_48_ranks_by_default(session):
@@ -10,7 +8,7 @@ def test_48_ranks_by_default(session):
 
 
 def test_failed_cores_reduce_ranks():
-    session = RcceSession(failure_prob=0.25, seed=11)
+    session = VSCCSystem(num_devices=1, failure_prob=0.25, seed=11)
     assert session.num_ranks < 48
     # config records exactly the live cores
     assert session.config.total_cores == session.num_ranks
@@ -31,16 +29,6 @@ def test_run_collects_results(session):
     assert result[5] == 10
 
 
-def test_launch_shim_warns_and_matches_run(session):
-    def program(comm):
-        yield from comm.env.compute(cycles=10)
-        return comm.rank * 2
-
-    with pytest.warns(DeprecationWarning, match="repro 1.2"):
-        results = session.launch(program, ranks=[1, 5])
-    assert results == {1: 2, 5: 10}
-
-
 def test_descending_core_order():
-    session = RcceSession(core_order="descending")
+    session = VSCCSystem(num_devices=1, core_order="descending")
     assert session.layout.placement(0) == (0, 47)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.rcce.api import RcceOptions
-from repro.rcce.session import RcceSession
-from repro.rcce.transport import DefaultGetTransport, OnChipSelector
+from repro.rcce.transport import DefaultGetTransport
+from repro.vscc.system import VSCCSystem
 
 
 def test_selector_picks_default_below_threshold():
-    session = RcceSession(options=RcceOptions(pipelined=True))
+    session = VSCCSystem(num_devices=1, options=RcceOptions(pipelined=True))
     comm = session.comm_for(0)
     small = comm.selector.select(comm, 1, 1024)
     large = comm.selector.select(comm, 1, 65536)
@@ -18,21 +18,9 @@ def test_selector_picks_default_below_threshold():
 
 
 def test_selector_without_pipelining_always_default():
-    session = RcceSession()
+    session = VSCCSystem(num_devices=1)
     comm = session.comm_for(0)
     assert comm.selector.select(comm, 1, 10 ** 6).name == "rcce-default"
-
-
-def test_onchip_selector_rejects_cross_device():
-    from repro.rcce.config import RankLayout, SccConfigFile
-
-    config = SccConfigFile((tuple(range(2)), tuple(range(2))))
-    layout = RankLayout.from_config(config)
-    session = RcceSession()
-    comm = session.comm_for(0)
-    comm.layout = layout
-    with pytest.raises(RuntimeError, match="VSCCSystem"):
-        comm.selector.select(comm, 2, 100)
 
 
 def test_invalid_cache_control():
@@ -49,8 +37,8 @@ def test_sender_stages_in_own_buffer(session):
             yield from comm.recv(64, 0)
 
     session.run(program, ranks=[0, 1])
-    env0 = session.device.core(0)
-    env1 = session.device.core(1)
+    env0 = session.devices[0].core(0)
+    env1 = session.devices[0].core(1)
     assert env0.stats["mpb_bytes_written"] >= 64  # chunk + flags
     # receiver never wrote payload bytes to MPB, only flags
     assert env1.stats["mpb_bytes_written"] < 64

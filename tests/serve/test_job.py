@@ -161,6 +161,20 @@ class TestExecuteJob:
         assert excinfo.value.error_type == "DeadlockError"
         assert "rank" in excinfo.value.message
 
+    def test_rpc_lost_responses_surface_as_job_error(self, monkeypatch):
+        import types
+
+        import repro.apps.rpc
+
+        def lossy_run_rpc(system, calls, params):
+            return types.SimpleNamespace(completed=3, offered=4, run=None)
+
+        monkeypatch.setattr(repro.apps.rpc, "run_rpc", lossy_run_rpc)
+        with pytest.raises(JobError) as excinfo:
+            execute_job(JobSpec(workload="rpc", params={"nranks": 2}))
+        assert excinfo.value.error_type == "RpcLostResponses"
+        assert excinfo.value.message == "rpc job lost responses: 3/4"
+
     def test_workload_value_errors_become_job_errors(self):
         with pytest.raises(JobError) as excinfo:
             execute_job(JobSpec(workload="pingpong", params={"ranks": (1, 1)}))

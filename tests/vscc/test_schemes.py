@@ -39,21 +39,6 @@ def test_thresholds_in_paper_range():
             assert scheme.direct_threshold == 0
 
 
-def test_direct_threshold_name_removed_but_warns():
-    """The dict is gone from the public surface; the module-level name
-    survives only as a warning shim until repro 1.2."""
-    import repro.vscc
-    import repro.vscc.schemes as schemes
-
-    assert "DIRECT_THRESHOLD" not in schemes.__all__
-    assert "DIRECT_THRESHOLD" not in repro.vscc.__all__
-    with pytest.warns(DeprecationWarning, match="repro 1.2"):
-        legacy = schemes.DIRECT_THRESHOLD
-    assert legacy[CommScheme.REMOTE_PUT_WCB] == (
-        CommScheme.REMOTE_PUT_WCB.direct_threshold
-    )
-
-
 def test_selector_picks_by_locality_and_size():
     system = VSCCSystem(num_devices=2, scheme=CommScheme.LOCAL_PUT_LOCAL_GET_VDMA)
     comm = system.comm_for(0)

@@ -103,9 +103,8 @@ def test_launch_subset_and_results():
         yield from comm.env.compute(cycles=1)
         return comm.rank
 
-    with pytest.warns(DeprecationWarning, match="launch"):
-        results = system.launch(program, ranks=[0, 90])
-    assert results == {0: 0, 90: 90}
+    result = system.run(program, ranks=[0, 90])
+    assert result.results == {0: 0, 90: 90}
 
 
 def test_traffic_matrix_shape():
